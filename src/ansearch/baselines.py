@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ObjectiveProblem, RngStream, init_position
-from .engine import SUCCESS_THRESHOLD, RunResult
+from .core import ObjectiveProblem, RngStream
+from .engine import SUCCESS_THRESHOLD, RunResult, run_loop
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,27 @@ class SwarmState:
     velocities: np.ndarray
     pbest: np.ndarray
     pbest_fitness: np.ndarray
-    gbest: np.ndarray
-    gbest_fitness: float
+    best: Optional[np.ndarray] = None   # global best
+    best_fitness: float = np.inf
     generation: int = 0
     evals_used: int = 0
     evals_to_success: Optional[int] = None
 
+    @classmethod
+    def from_population(cls, positions: np.ndarray, fitness: np.ndarray) -> "SwarmState":
+        """Zero initial velocities; pbest starts as copies of the start points."""
+        return cls(positions, np.zeros_like(positions), positions.copy(), fitness.copy())
+
 
 @dataclass
 class DeState:
+    """The initial population is the state itself, so ``DeState(population,
+    fitness)`` serves as the initializer's state constructor."""
+
     population: np.ndarray
     fitness: np.ndarray
-    best: np.ndarray
-    best_fitness: float
+    best: Optional[np.ndarray] = None
+    best_fitness: float = np.inf
     generation: int = 0
     evals_used: int = 0
     evals_to_success: Optional[int] = None
@@ -88,40 +96,13 @@ def _clamp(x: np.ndarray, problem: ObjectiveProblem, boundary: str) -> np.ndarra
 # PSO
 # ---------------------------------------------------------------------------
 
-def pso_init(problem: ObjectiveProblem, params: PsoParams, rng: RngStream,
-             success_threshold: float = SUCCESS_THRESHOLD) -> SwarmState:
-    """Uniform random swarm, zero initial velocities, pbest = start points."""
-    n = params.swarm_size
-    dim = problem.bounds.dim
-    positions = np.empty((n, dim))
-    fitness = np.full(n, np.inf)
-    state = SwarmState(positions=positions, velocities=np.zeros((n, dim)),
-                       pbest=positions.copy(), pbest_fitness=fitness.copy(),
-                       gbest=np.zeros(dim), gbest_fitness=np.inf)
-    for i in range(n):
-        positions[i] = init_position(rng, problem.bounds)
-        if state.evals_used >= params.max_evals:
-            continue
-        fit = problem.evaluate(positions[i], rng)
-        state.evals_used += 1
-        fitness[i] = fit
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
-    state.pbest[:] = positions
-    state.pbest_fitness[:] = fitness
-    best = int(np.argmin(fitness))
-    state.gbest = positions[best].copy()
-    state.gbest_fitness = float(fitness[best])
-    return state
-
-
 def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
              rng: RngStream, boundary: str = "clamp",
              success_threshold: float = SUCCESS_THRESHOLD) -> SwarmState:
     """One generation of the inertia-weight velocity/position update.
 
-    v <- w v + c1 r1 (pbest - x) + c2 r2 (gbest - x) with fresh uniform
-    r1, r2 per dimension; pbest/gbest update on strict improvement only.
+    v <- w v + c1 r1 (pbest - x) + c2 r2 (best - x) with fresh uniform
+    r1, r2 per dimension; pbest/best update on strict improvement only.
     """
     v_max = params.v_max if params.v_max is not None else 0.5 * problem.bounds.width
     for i in range(params.swarm_size):
@@ -132,7 +113,7 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
         r2 = rng.uniform(0.0, 1.0, x.shape[0])
         v = (params.inertia * state.velocities[i]
              + params.c1 * r1 * (state.pbest[i] - x)
-             + params.c2 * r2 * (state.gbest - x))
+             + params.c2 * r2 * (state.best - x))
         np.clip(v, -v_max, v_max, out=v)
         new_pos = _clamp(x + v, problem, boundary)
         fit = problem.evaluate(new_pos, rng)
@@ -144,9 +125,9 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
         if fit < state.pbest_fitness[i]:
             state.pbest[i] = new_pos
             state.pbest_fitness[i] = fit
-            if fit < state.gbest_fitness:
-                state.gbest = new_pos.copy()
-                state.gbest_fitness = fit
+            if fit < state.best_fitness:
+                state.best = new_pos.copy()
+                state.best_fitness = fit
     state.generation += 1
     return state
 
@@ -165,29 +146,6 @@ def _three_distinct(rng: RngStream, pop_size: int, exclude: int) -> Tuple[int, i
         if j not in picks:
             picks.append(j)
     return picks[0], picks[1], picks[2]
-
-
-def de_init(problem: ObjectiveProblem, params: DeParams, rng: RngStream,
-            success_threshold: float = SUCCESS_THRESHOLD) -> DeState:
-    n = params.pop_size
-    dim = problem.bounds.dim
-    population = np.empty((n, dim))
-    fitness = np.full(n, np.inf)
-    state = DeState(population=population, fitness=fitness,
-                    best=np.zeros(dim), best_fitness=np.inf)
-    for i in range(n):
-        population[i] = init_position(rng, problem.bounds)
-        if state.evals_used >= params.max_evals:
-            continue
-        fit = problem.evaluate(population[i], rng)
-        state.evals_used += 1
-        fitness[i] = fit
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
-    best = int(np.argmin(fitness))
-    state.best = population[best].copy()
-    state.best_fitness = float(fitness[best])
-    return state
 
 
 def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
@@ -221,46 +179,18 @@ def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
 
 
 # ---------------------------------------------------------------------------
-# Shared run loop
+# Runs, through the shared loop in engine
 # ---------------------------------------------------------------------------
-
-def _run_loop(problem, params, seed, init_fn, step_fn, best_fields, boundary,
-              success_threshold) -> RunResult:
-    if boundary not in ("clamp", "none"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
-    if isinstance(seed, RngStream):
-        rng = seed
-        seed_value = rng.seed
-    else:
-        rng = RngStream(seed)
-        seed_value = seed
-    state = init_fn(problem, params, rng, success_threshold)
-    best_pos_attr, best_fit_attr = best_fields
-    history = [(state.evals_used, getattr(state, best_fit_attr))]
-    while state.evals_used < params.max_evals and (
-            params.max_generations is None or state.generation < params.max_generations):
-        step_fn(state, problem, params, rng, boundary, success_threshold)
-        history.append((state.evals_used, getattr(state, best_fit_attr)))
-    return RunResult(
-        best_fitness=float(getattr(state, best_fit_attr)),
-        best_position=getattr(state, best_pos_attr).copy(),
-        evals_to_success=state.evals_to_success,
-        history=history,
-        seed=seed_value,
-        evals_used=state.evals_used,
-        generations=state.generation,
-    )
-
 
 def pso_run(problem: ObjectiveProblem, params: PsoParams,
             seed: Union[int, Sequence[int], RngStream], boundary: str = "clamp",
             success_threshold: float = SUCCESS_THRESHOLD) -> RunResult:
-    return _run_loop(problem, params, seed, pso_init, pso_step,
-                     ("gbest", "gbest_fitness"), boundary, success_threshold)
+    return run_loop(problem, params, seed, params.swarm_size, SwarmState.from_population,
+                    pso_step, boundary, success_threshold)
 
 
 def de_run(problem: ObjectiveProblem, params: DeParams,
            seed: Union[int, Sequence[int], RngStream], boundary: str = "clamp",
            success_threshold: float = SUCCESS_THRESHOLD) -> RunResult:
-    return _run_loop(problem, params, seed, de_init, de_step,
-                     ("best", "best_fitness"), boundary, success_threshold)
+    return run_loop(problem, params, seed, params.pop_size, DeState, de_step,
+                    boundary, success_threshold)

@@ -147,15 +147,6 @@ def griewank(x):
     return float(np.dot(x, x) / 4000.0 + 1.0 - np.prod(np.cos(x / i)))
 
 
-def penalty_u(x: float, a: float, k: float, m_exp: float) -> float:
-    """Boundary penalty term: zero inside [-a, a], polynomial growth outside."""
-    if x > a:
-        return k * (x - a) ** m_exp
-    if x < -a:
-        return k * (-x - a) ** m_exp
-    return 0.0
-
-
 def _penalty_sum(x, a, k, m_exp):
     over = x - a
     under = -x - a
@@ -205,19 +196,6 @@ _BASE_EVALUATORS = {
     "f11": penalized_1,
     "f12": penalized_2,
 }
-
-
-def evaluate(spec: BenchmarkSpec, x: np.ndarray, rng: Optional[RngStream] = None,
-             rotation: Optional[np.ndarray] = None) -> float:
-    """Evaluate one benchmark function at ``x`` (pure; no counter)."""
-    x = np.asarray(x, dtype=float)
-    if spec.is_rotated:
-        if rotation is None:
-            raise ValueError(f"{spec.id} requires a rotation matrix")
-        return _BASE_EVALUATORS[spec.base_id](rotation @ x)
-    if spec.id == "f6":
-        return noise_quadric(x, rng)
-    return _BASE_EVALUATORS[spec.id](x)
 
 
 # ---------------------------------------------------------------------------

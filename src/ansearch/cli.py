@@ -57,10 +57,10 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     config = harness.load_config(args.config)
     gens = _parse_gens(args.gens) if args.gens else None
-    result, warnings = harness.trace(config, gens)
+    result, snapshots, warnings = harness.trace(config, gens)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    captured = [snap.generation for snap in (result.snapshots or [])]
+    captured = [snap.generation for snap in snapshots]
     print(f"captured generations {captured}; best fitness {result.best_fitness!r}; "
           f"snapshots in {config.output_dir}")
     return 0
@@ -74,7 +74,7 @@ def cmd_compare(args) -> int:
     print(f"reference: {report.reference}")
     header = "function  " + "  ".join(f"{p:>8s}" for p in peers)
     print(header)
-    symbol_text = {"minus": "-", "plus": "+", "approx": "~"}
+    symbol_text = harness._SYMBOL_TEXT
     for fid in report.function_ids:
         row = "  ".join(f"{symbol_text[report.verdicts[p][fid].symbol]:>8s}" for p in peers)
         print(f"{fid:8s}  {row}")

@@ -66,23 +66,6 @@ class RngStream:
         return self.generator.permutation(n)
 
 
-def gaussian_sample(rng: RngStream, sigma: float, size=None):
-    """Zero-mean Gaussian draw(s) with standard deviation ``sigma``.
-
-    ``sigma`` must be non-negative; ``sigma == 0`` returns exactly 0.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return sigma * rng.standard_gaussian(size)
-
-
-def clamp_to_bounds(pos: np.ndarray, bounds: SearchBounds) -> np.ndarray:
-    """Project a position onto the search box, coordinate-wise."""
-    if len(pos) != bounds.dim:
-        raise ValueError(f"position has length {len(pos)}, bounds expect {bounds.dim}")
-    return np.clip(pos, bounds.lo, bounds.hi)
-
-
 def init_position(rng: RngStream, bounds: SearchBounds) -> np.ndarray:
     """Uniform random position inside the search box."""
     return rng.uniform(bounds.lo, bounds.hi, bounds.dim)
@@ -121,12 +104,3 @@ class ObjectiveProblem:
             raise ValueError(f"point has length {len(x)}, problem expects {self.bounds.dim}")
         self.eval_count += 1
         return self.evaluator(x, rng)
-
-    def fresh_copy(self) -> "ObjectiveProblem":
-        """Same landscape, zeroed evaluation counter (one copy per run)."""
-        return ObjectiveProblem(
-            function_id=self.function_id,
-            bounds=self.bounds,
-            evaluator=self.evaluator,
-            rotation=self.rotation,
-        )

@@ -7,12 +7,15 @@ value and scaled by the distance between that value and the current
 position.  On a randomly chosen subset of dimensions (the across-search
 degree) the individual borrows a random peer's superior instead of its own,
 mixing good components from several memories at once.
+
+The population initializer and run loop at the end of this module are
+shared with the PSO and DE baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +30,10 @@ _EMPTY_DIMS = np.empty(0, dtype=np.intp)
 class AnsParams:
     """Tunable parameters plus budget controls.
 
-    ``superior_count`` must equal ``population_size`` in this version: each
-    individual contributes exactly one superior solution to the shared pool.
-    ``across_degree`` of 0 disables peer borrowing entirely (accepted, though
-    defaults never use it); it may not exceed the problem dimensionality.
+    Each individual contributes exactly one superior solution to the shared
+    pool, so the pool size is ``population_size``.  ``across_degree`` of 0
+    disables peer borrowing entirely (accepted, though defaults never use
+    it); it may not exceed the problem dimensionality.
     """
 
     population_size: int = 20
@@ -38,16 +41,11 @@ class AnsParams:
     sigma: float = 0.5
     max_evals: int = 300_000
     max_generations: Optional[int] = None
-    superior_count: Optional[int] = None
     frozen_superiors: bool = False
 
     def __post_init__(self):
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
-        if self.superior_count is None:
-            object.__setattr__(self, "superior_count", self.population_size)
-        if self.superior_count != self.population_size:
-            raise ValueError("superior_count must equal population_size in this version")
         if self.across_degree < 0:
             raise ValueError("across_degree must be >= 0")
         if not self.sigma > 0:
@@ -59,38 +57,27 @@ class AnsParams:
 
 
 @dataclass
-class Individual:
-    pos: np.ndarray
-    pos_fitness: float
-    superior: np.ndarray
-    superior_fitness: float
-
-
-@dataclass
-class Snapshot:
-    generation: int
-    positions: np.ndarray  # (m, D)
-    superiors: np.ndarray  # (m, D)
-
-
-@dataclass
 class PopulationState:
-    """Population arrays; row i of ``superiors`` is individual i's memory."""
+    """Population arrays; row i of ``superiors`` is individual i's memory.
+
+    ``best`` .. ``evals_to_success`` are the run bookkeeping every optimizer
+    state carries under the same names (see :func:`run_loop`).
+    """
 
     positions: np.ndarray          # (m, D)
     position_fitness: np.ndarray   # (m,)
     superiors: np.ndarray          # (m, D)
     superior_fitness: np.ndarray   # (m,)
-    global_best: np.ndarray
-    global_best_fitness: float
+    best: Optional[np.ndarray] = None
+    best_fitness: float = np.inf
     generation: int = 0
     evals_used: int = 0
     evals_to_success: Optional[int] = None
 
-    def individual(self, i: int) -> Individual:
-        """Copy-free view of one individual (arrays alias state rows)."""
-        return Individual(self.positions[i], float(self.position_fitness[i]),
-                          self.superiors[i], float(self.superior_fitness[i]))
+    @classmethod
+    def from_population(cls, positions: np.ndarray, fitness: np.ndarray) -> "PopulationState":
+        """Superiors start as copies of the initial positions."""
+        return cls(positions, fitness, positions.copy(), fitness.copy())
 
 
 @dataclass
@@ -102,7 +89,6 @@ class RunResult:
     seed: Union[int, Sequence[int]]
     evals_used: int
     generations: int
-    snapshots: Optional[List[Snapshot]] = field(default=None)
 
 
 def select_across_dimensions(rng: RngStream, dim: int, degree: int) -> np.ndarray:
@@ -160,50 +146,6 @@ def update_position(position: np.ndarray, superiors: np.ndarray, self_index: int
     return new_pos
 
 
-def update_superior(indiv: Individual, new_pos: np.ndarray, new_fitness: float) -> Individual:
-    """Overwrite the position; adopt it as superior only on strict improvement.
-
-    Ties keep the incumbent superior, so plateaus cause no memory churn.
-    """
-    if new_fitness < indiv.superior_fitness:
-        return Individual(new_pos, new_fitness, new_pos, new_fitness)
-    return Individual(new_pos, new_fitness, indiv.superior, indiv.superior_fitness)
-
-
-def initialize(problem: ObjectiveProblem, params: AnsParams, rng: RngStream,
-               success_threshold: float = SUCCESS_THRESHOLD) -> PopulationState:
-    """Draw and evaluate the initial population; superiors start as copies
-    of the initial positions.  Evaluation stops early if the budget is
-    smaller than the population (unevaluated rows keep +inf fitness)."""
-    m = params.population_size
-    dim = problem.bounds.dim
-    positions = np.empty((m, dim))
-    fitness = np.full(m, np.inf)
-    state = PopulationState(
-        positions=positions,
-        position_fitness=fitness,
-        superiors=positions.copy(),
-        superior_fitness=fitness.copy(),
-        global_best=np.zeros(dim),
-        global_best_fitness=np.inf,
-    )
-    for i in range(m):
-        positions[i] = init_position(rng, problem.bounds)
-        if state.evals_used >= params.max_evals:
-            continue
-        fit = problem.evaluate(positions[i], rng)
-        state.evals_used += 1
-        fitness[i] = fit
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
-    state.superiors[:] = positions
-    state.superior_fitness[:] = fitness
-    best = int(np.argmin(fitness))
-    state.global_best = positions[best].copy()
-    state.global_best_fitness = float(fitness[best])
-    return state
-
-
 def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
          rng: RngStream, boundary: str = "clamp",
          success_threshold: float = SUCCESS_THRESHOLD) -> PopulationState:
@@ -233,27 +175,69 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
             state.evals_to_success = state.evals_used
         positions[i] = new_pos
         pos_fitness[i] = fit
+        # Strict improvement only: ties keep the incumbent superior, so
+        # plateaus cause no memory churn.
         if fit < sup_fitness[i]:
             superiors[i] = new_pos
             sup_fitness[i] = fit
-            if fit < state.global_best_fitness:
-                state.global_best = new_pos.copy()
-                state.global_best_fitness = fit
+            if fit < state.best_fitness:
+                state.best = new_pos.copy()
+                state.best_fitness = fit
     state.generation += 1
     return state
 
 
-def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[int], RngStream],
-        snapshot_gens: Optional[Sequence[int]] = None, boundary: str = "clamp",
-        success_threshold: float = SUCCESS_THRESHOLD) -> RunResult:
-    """Full optimization run, terminated by whichever budget hits first
-    (``max_evals`` is always enforced; ``max_generations`` counts update
-    sweeps after initialization when given)."""
+# ---------------------------------------------------------------------------
+# Shared population initializer and run loop (ANS, PSO and DE)
+# ---------------------------------------------------------------------------
+
+def init_population(problem: ObjectiveProblem, new_state: Callable, size: int, max_evals: int,
+                    rng: RngStream, success_threshold: float = SUCCESS_THRESHOLD):
+    """Draw and evaluate an initial population of ``size`` uniform points.
+
+    Every point is drawn, even past the budget, so the stream does not
+    depend on it; evaluation stops once ``max_evals`` is used and the rows
+    left unevaluated keep +inf fitness.  ``new_state(positions, fitness)``
+    wraps the arrays in the optimizer's state; the bookkeeping fields
+    (``best``, ``best_fitness``, ``evals_used``, ``evals_to_success``) are
+    filled in here.
+    """
+    positions = np.empty((size, problem.bounds.dim))
+    fitness = np.full(size, np.inf)
+    evals_used = 0
+    evals_to_success = None
+    for i in range(size):
+        positions[i] = init_position(rng, problem.bounds)
+        if evals_used >= max_evals:
+            continue
+        fit = problem.evaluate(positions[i], rng)
+        evals_used += 1
+        fitness[i] = fit
+        if evals_to_success is None and fit < success_threshold:
+            evals_to_success = evals_used
+    state = new_state(positions, fitness)
+    best = int(np.argmin(fitness))
+    state.best = positions[best].copy()
+    state.best_fitness = float(fitness[best])
+    state.evals_used = evals_used
+    state.evals_to_success = evals_to_success
+    return state
+
+
+def run_loop(problem: ObjectiveProblem, params, seed: Union[int, Sequence[int], RngStream],
+             size: int, new_state: Callable, step_fn: Callable, boundary: str = "clamp",
+             success_threshold: float = SUCCESS_THRESHOLD,
+             on_generation: Optional[Callable] = None) -> RunResult:
+    """Initialize, then step until whichever budget hits first
+    (``params.max_evals`` is always enforced; ``params.max_generations``
+    counts update sweeps after initialization when given).
+
+    ``step_fn(state, problem, params, rng, boundary, success_threshold)``
+    advances one generation.  ``on_generation(state)``, when given, sees the
+    state after initialization (generation 0) and after every step.
+    """
     if boundary not in ("clamp", "none"):
         raise ValueError(f"unknown boundary policy {boundary!r}")
-    if params.across_degree > problem.bounds.dim:
-        raise ValueError(f"across_degree {params.across_degree} exceeds dimensionality "
-                         f"{problem.bounds.dim}")
     if isinstance(seed, RngStream):
         rng = seed
         seed_value = rng.seed
@@ -261,29 +245,35 @@ def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[
         rng = RngStream(seed)
         seed_value = seed
 
-    wanted_gens = set(int(g) for g in snapshot_gens) if snapshot_gens else None
-    snapshots: Optional[List[Snapshot]] = [] if wanted_gens else None
-
-    state = initialize(problem, params, rng, success_threshold)
-    history: List[Tuple[int, float]] = [(state.evals_used, state.global_best_fitness)]
-    if wanted_gens and 0 in wanted_gens:
-        snapshots.append(Snapshot(0, state.positions.copy(), state.superiors.copy()))
-
+    state = init_population(problem, new_state, size, params.max_evals, rng, success_threshold)
+    history: List[Tuple[int, float]] = [(state.evals_used, state.best_fitness)]
+    if on_generation is not None:
+        on_generation(state)
     while state.evals_used < params.max_evals and (
             params.max_generations is None or state.generation < params.max_generations):
-        step(state, problem, params, rng, boundary, success_threshold)
-        history.append((state.evals_used, state.global_best_fitness))
-        if wanted_gens and state.generation in wanted_gens:
-            snapshots.append(Snapshot(state.generation, state.positions.copy(),
-                                      state.superiors.copy()))
+        step_fn(state, problem, params, rng, boundary, success_threshold)
+        history.append((state.evals_used, state.best_fitness))
+        if on_generation is not None:
+            on_generation(state)
 
     return RunResult(
-        best_fitness=state.global_best_fitness,
-        best_position=state.global_best.copy(),
+        best_fitness=state.best_fitness,
+        best_position=state.best.copy(),
         evals_to_success=state.evals_to_success,
         history=history,
         seed=seed_value,
         evals_used=state.evals_used,
         generations=state.generation,
-        snapshots=snapshots,
     )
+
+
+def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[int], RngStream],
+        boundary: str = "clamp", success_threshold: float = SUCCESS_THRESHOLD,
+        on_generation: Optional[Callable[[PopulationState], None]] = None) -> RunResult:
+    """Full across-neighbourhood search run (see :func:`run_loop`)."""
+    if params.across_degree > problem.bounds.dim:
+        raise ValueError(f"across_degree {params.across_degree} exceeds dimensionality "
+                         f"{problem.bounds.dim}")
+    return run_loop(problem, params, seed, params.population_size,
+                    PopulationState.from_population, step, boundary, success_threshold,
+                    on_generation)

@@ -59,7 +59,6 @@ class ExperimentConfig:
     f8_narrow_range: bool = False
     # across-neighbourhood search block
     population_size: int = 20
-    superior_count: Optional[int] = None
     across_degree: int = 1
     sigma: float = 0.5
     frozen_superiors: bool = False
@@ -89,8 +88,12 @@ class ExperimentConfig:
                          sigma=self.sigma,
                          max_evals=self.budget(),
                          max_generations=self.max_generations,
-                         superior_count=self.superior_count,
                          frozen_superiors=self.frozen_superiors)
+
+    def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
+        if self.algorithm == "ans":
+            return self.ans_params(function_id)
+        return self.pso_params() if self.algorithm == "pso" else self.de_params()
 
     def pso_params(self) -> PsoParams:
         return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia,
@@ -175,7 +178,6 @@ _KEY_PARSERS = {
     "write_history": _parse_bool,
     "f8_narrow_range": _parse_bool,
     "population_size": _parse_int,
-    "superior_count": _parse_int,
     "across_degree": _parse_int,
     "sigma": _parse_float,
     "frozen_superiors": _parse_bool,
@@ -217,13 +219,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if any(g < 0 for g in config.snapshot_gens):
         raise ConfigError("invalid_value", "snapshot_gens entries must be >= 0")
     try:
-        if config.algorithm == "ans":
-            for fid in config.functions:
-                config.ans_params(fid)
-        elif config.algorithm == "pso":
-            config.pso_params()
-        else:
-            config.de_params()
+        for fid in config.functions:
+            config.params_for(fid)
     except ValueError as exc:
         raise ConfigError("invalid_value", str(exc)) from None
     return config
@@ -281,12 +278,11 @@ def derive_rotation_seed(master_seed: int, function_id: str) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def build_problem(config: ExperimentConfig, function_id: str) -> ObjectiveProblem:
-    spec = SPECS[function_id]
-    rotation_seed = derive_rotation_seed(config.master_seed, function_id) if spec.is_rotated else None
-    return benchmarks.make_problem(function_id, config.dimensions,
-                                   rotation_seed=rotation_seed,
-                                   f8_narrow_range=config.f8_narrow_range)
+def _rotation_seed(config: ExperimentConfig, function_id: str) -> Optional[int]:
+    """The function's rotation seed in this experiment; None when unrotated."""
+    if not SPECS[function_id].is_rotated:
+        return None
+    return derive_rotation_seed(config.master_seed, function_id)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +300,17 @@ class Job:
     boundary: str
     rotation_seed: Optional[int]
     f8_narrow_range: bool
-    snapshot_gens: Tuple[int, ...] = ()
+
+    def problem(self) -> ObjectiveProblem:
+        return benchmarks.make_problem(self.function_id, self.dimensions,
+                                       rotation_seed=self.rotation_seed,
+                                       f8_narrow_range=self.f8_narrow_range)
 
 
 def execute_job(job: Job) -> RunResult:
-    problem = benchmarks.make_problem(job.function_id, job.dimensions,
-                                      rotation_seed=job.rotation_seed,
-                                      f8_narrow_range=job.f8_narrow_range)
-    if job.algorithm == "ans":
-        return ans_run(problem, job.params, job.seed,
-                       snapshot_gens=job.snapshot_gens or None, boundary=job.boundary)
-    if job.algorithm == "pso":
-        return pso_run(problem, job.params, job.seed, boundary=job.boundary)
-    return de_run(problem, job.params, job.seed, boundary=job.boundary)
+    # Looked up per call, so the module-level run names can be wrapped.
+    run_fn = {"ans": ans_run, "pso": pso_run, "de": de_run}[job.algorithm]
+    return run_fn(job.problem(), job.params, job.seed, boundary=job.boundary)
 
 
 def _safe_execute(job: Job):
@@ -329,14 +323,8 @@ def _safe_execute(job: Job):
 def _make_jobs(config: ExperimentConfig) -> List[Job]:
     jobs = []
     for fid in config.functions:
-        spec = SPECS[fid]
-        rotation_seed = derive_rotation_seed(config.master_seed, fid) if spec.is_rotated else None
-        if config.algorithm == "ans":
-            params = config.ans_params(fid)
-        elif config.algorithm == "pso":
-            params = config.pso_params()
-        else:
-            params = config.de_params()
+        rotation_seed = _rotation_seed(config, fid)
+        params = config.params_for(fid)
         for run_index in range(config.runs):
             jobs.append(Job(
                 algorithm=config.algorithm,
@@ -353,6 +341,8 @@ def _make_jobs(config: ExperimentConfig) -> List[Job]:
 
 
 def _run_jobs(jobs: List[Job], workers: int):
+    # More workers than cores or jobs would only add idle processes.
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         return [_safe_execute(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -422,12 +412,20 @@ def summary_file(out_dir: str, algorithm: str) -> str:
     return os.path.join(out_dir, f"summary_{algorithm}.csv")
 
 
+def _write_summary(out_dir: str, algorithm: str,
+                   rows: Sequence[Tuple[str, stats.FunctionSummary]]) -> None:
+    with open(summary_file(out_dir, algorithm), "w") as fh:
+        fh.write("function,mean,std,nfe,sr,rank\n")
+        for fid, s in rows:
+            fh.write(f"{fid},{s.mean:.6E},{s.std:.6E},{_fmt_nfe(s.mean_nfe_to_success)},"
+                     f"{_fmt_sr(s.success_rate)},{s.rank}\n")
+
+
 def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for fid in config.functions:
-        spec = SPECS[fid]
-        if spec.is_rotated:
-            seed = derive_rotation_seed(config.master_seed, fid)
+        seed = _rotation_seed(config, fid)
+        if seed is not None:
             path = os.path.join(out_dir, f"rotation_{fid}_D{config.dimensions}.txt")
             save_rotation_matrix(path, make_rotation_matrix(config.dimensions, seed))
         with open(results_file(out_dir, batch.algorithm, fid), "w") as fh:
@@ -446,19 +444,16 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
                     fh.write("evals_used,global_best_fitness\n")
                     for evals, fit in res.history:
                         fh.write(f"{evals},{fit!r}\n")
-    with open(summary_file(out_dir, batch.algorithm), "w") as fh:
-        fh.write("function,mean,std,nfe,sr,rank\n")
-        for fid in config.functions:
-            if fid not in batch.summaries:
-                continue
-            s = batch.summaries[fid]
-            fh.write(f"{fid},{s.mean:.6E},{s.std:.6E},{_fmt_nfe(s.mean_nfe_to_success)},"
-                     f"{_fmt_sr(s.success_rate)},{s.rank}\n")
+    _write_summary(out_dir, batch.algorithm, [(fid, batch.summaries[fid])
+                                                  for fid in config.functions
+                                                  if fid in batch.summaries])
     if batch.failures:
         with open(os.path.join(out_dir, "failures.csv"), "w") as fh:
             fh.write("function,run_index,error\n")
             for fid, idx, msg in batch.failures:
-                fh.write(f"{fid},{idx},{msg.replace(',', ';')}\n")
+                # One row per failure: no field or line separators in the message.
+                msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
+                fh.write(f"{fid},{idx},{msg}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +490,6 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
         overrides = {field_name: value}
         if parameter == "n":
             overrides["n_per_function"] = {}  # the swept value applies to every function
-        if parameter == "m":
-            overrides["superior_count"] = None
         candidate = replace(config, **overrides)
         configs.append((value, validate_config(candidate)))
 
@@ -529,11 +522,18 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
 # Convergence trace (position / superior snapshots)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Snapshot:
+    generation: int
+    positions: np.ndarray  # (m, D)
+    superiors: np.ndarray  # (m, D)
+
+
 def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
-          write_files: bool = True) -> Tuple[RunResult, List[str]]:
-    """Single seeded run capturing population snapshots at the requested
-    generations (generation 0 is the initial population).  Snapshots beyond
-    the run's termination are skipped with a warning."""
+          write_files: bool = True) -> Tuple[RunResult, List[Snapshot], List[str]]:
+    """Single seeded run (run 0 of the batch) capturing population snapshots
+    at the requested generations (generation 0 is the initial population).
+    Snapshots beyond the run's termination are skipped with a warning."""
     if config.algorithm != "ans":
         raise ConfigError("invalid_value",
                           "trace needs the superior-solution memory of the ans algorithm")
@@ -542,23 +542,28 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
         raise ConfigError("invalid_value", "trace needs at least one snapshot generation")
     if len(config.functions) != 1:
         raise ConfigError("invalid_value", "trace expects exactly one function")
-    fid = config.functions[0]
-    job_config = replace(config, snapshot_gens=snapshot_gens)
-    problem = build_problem(job_config, fid)
-    seed = derive_run_seed(config.master_seed, "ans", fid, 0)
-    result = ans_run(problem, job_config.ans_params(fid), seed,
-                     snapshot_gens=snapshot_gens, boundary=config.boundary_policy)
+    wanted = set(snapshot_gens)
+    snapshots: List[Snapshot] = []
 
-    captured = {snap.generation for snap in (result.snapshots or [])}
+    def capture(state) -> None:
+        if state.generation in wanted:
+            snapshots.append(Snapshot(state.generation, state.positions.copy(),
+                                      state.superiors.copy()))
+
+    job = _make_jobs(replace(config, runs=1))[0]
+    result = ans_run(job.problem(), job.params, job.seed, boundary=job.boundary,
+                     on_generation=capture)
+
+    captured = {snap.generation for snap in snapshots}
     warnings = [f"snapshot generation {g} is beyond termination "
                 f"(run ended at generation {result.generations})"
-                for g in sorted(set(snapshot_gens)) if g not in captured]
+                for g in sorted(wanted) if g not in captured]
 
     if write_files:
         os.makedirs(config.output_dir, exist_ok=True)
         dim = config.dimensions
         coords = ",".join(f"x{i + 1}" for i in range(dim))
-        for snap in result.snapshots or []:
+        for snap in snapshots:
             path = os.path.join(config.output_dir, f"trace_gen{snap.generation}.csv")
             with open(path, "w") as fh:
                 fh.write(f"generation,kind,index,{coords}\n")
@@ -566,7 +571,7 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
                     for idx, row in enumerate(block):
                         vals = ",".join(repr(float(v)) for v in row)
                         fh.write(f"{snap.generation},{kind},{idx},{vals}\n")
-    return result, warnings
+    return result, snapshots, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +726,8 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
         if header != "run_index,seed,final_fitness,evals_to_success,evals_used":
             raise ValueError(f"{path} is not a raw results file")
         for line in fh:
+            if not line.strip():
+                continue
             idx, seed, fit, nfe, used = line.strip().split(",")
             rows.append((int(idx), int(seed), float(fit),
                          int(nfe) if nfe else None, int(used)))
@@ -744,10 +751,5 @@ def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionS
         found.setdefault(alg, {})[fid] = summary
     for alg, by_fid in found.items():
         ordered = sorted(by_fid, key=lambda f: _FUNC_NUMBER[f])
-        with open(summary_file(results_dir, alg), "w") as fh:
-            fh.write("function,mean,std,nfe,sr,rank\n")
-            for fid in ordered:
-                s = by_fid[fid]
-                fh.write(f"{fid},{s.mean:.6E},{s.std:.6E},{_fmt_nfe(s.mean_nfe_to_success)},"
-                         f"{_fmt_sr(s.success_rate)},{s.rank}\n")
+        _write_summary(results_dir, alg, [(fid, by_fid[fid]) for fid in ordered])
     return found

@@ -13,7 +13,7 @@ import numpy as np
 from test_stats import oracle_rank_sum_p, oracle_signed_rank_p
 
 from ansearch import benchmarks, harness
-from ansearch.core import RngStream, gaussian_sample
+from ansearch.core import RngStream
 from ansearch.engine import AnsParams, run
 from ansearch.harness import derive_rotation_seed, derive_run_seed, parse_config_text
 from ansearch.stats import finner_adjust, rank_sum_p_value, wilcoxon_signed_rank
@@ -164,13 +164,12 @@ def test_criterion_09_benchmark_certificates():
     failures = []
     for fid in benchmarks.FUNCTION_IDS:
         spec = benchmarks.SPECS[fid]
-        rotation = (benchmarks.make_rotation_matrix(10, seed=3).matrix
-                    if spec.is_rotated else None)
-        x = benchmarks.optimum_point(fid, 10, rotation)
+        rotation = benchmarks.make_rotation_matrix(10, seed=3) if spec.is_rotated else None
+        x = benchmarks.optimum_point(fid, 10, rotation.matrix if rotation else None)
         if fid == "f6":
             value = benchmarks.noise_quadric(x)
         else:
-            value = benchmarks.evaluate(spec, x, RngStream(0), rotation)
+            value = benchmarks.make_problem(fid, 10, rotation=rotation).evaluate(x, RngStream(0))
         if abs(value) > 1e-12:
             failures.append(f"{fid}={value:.1e}")
     point_rng = np.random.default_rng(7)
@@ -178,10 +177,10 @@ def test_criterion_09_benchmark_certificates():
     for fid in ("f1", "f3", "f4", "f5", "f7", "f8", "f9", "f10",
                 "f13", "f15", "f16", "f17", "f18"):
         spec = benchmarks.SPECS[fid]
-        rotation = (benchmarks.make_rotation_matrix(10, seed=5).matrix
-                    if spec.is_rotated else None)
+        rotation = benchmarks.make_rotation_matrix(10, seed=5) if spec.is_rotated else None
+        problem = benchmarks.make_problem(fid, 10, rotation=rotation)
         pts = point_rng.uniform(spec.lo, spec.hi, (1000, 10))
-        values = [benchmarks.evaluate(spec, x, RngStream(1), rotation) for x in pts]
+        values = [problem.evaluate(x, RngStream(1)) for x in pts]
         if min(values) < 0.0:
             negative.append(fid)
     max_err = 0.0
@@ -229,7 +228,7 @@ def test_criterion_10_worker_and_rerun_determinism(tmp_path):
 
 
 def test_criterion_11_gaussian_coverage():
-    draws = gaussian_sample(RngStream(MASTER), 0.5, size=1_000_000)
+    draws = 0.5 * RngStream(MASTER).standard_gaussian(1_000_000)
     one = float(np.mean(np.abs(draws) < 0.5))
     two = float(np.mean(np.abs(draws) < 1.0))
     ok = abs(one - 0.6826) < 0.003 and abs(two - 0.9544) < 0.003

@@ -7,6 +7,7 @@ from ansearch.baselines import (DeParams, DeState, PsoParams, SwarmState, _three
                                 de_run, de_step, pso_run, pso_step)
 from ansearch.benchmarks import make_problem
 from ansearch.core import RngStream
+from ansearch.engine import init_population
 
 
 def test_param_validation():
@@ -25,8 +26,12 @@ def swarm(positions, velocities, pbest, pbest_fit, gbest, gbest_fit):
                       velocities=np.array(velocities, dtype=float),
                       pbest=np.array(pbest, dtype=float),
                       pbest_fitness=np.array(pbest_fit, dtype=float),
-                      gbest=np.array(gbest, dtype=float),
-                      gbest_fitness=float(gbest_fit))
+                      best=np.array(gbest, dtype=float),
+                      best_fitness=float(gbest_fit))
+
+
+def de_init(problem, params, rng):
+    return init_population(problem, DeState, params.pop_size, params.max_evals, rng)
 
 
 def test_pso_null_update_keeps_positions():
@@ -107,7 +112,6 @@ def test_de_zero_weight_full_crossover_copies_base_vector():
     problem = make_problem("f1", 3)
     params = DeParams(pop_size=6, weight=0.0, crossover=1.0, max_evals=1_000)
     rng = RngStream(3)
-    from ansearch.baselines import de_init
     state = de_init(problem, params, rng)
     before = state.population.copy()
     de_step(state, problem, params, rng)
@@ -122,7 +126,6 @@ def test_de_zero_weight_full_crossover_copies_base_vector():
 def test_de_selection_is_greedy_per_target():
     problem = make_problem("f9", 4)
     params = DeParams(pop_size=10, max_evals=5_000)
-    from ansearch.baselines import de_init
     rng = RngStream(8)
     state = de_init(problem, params, rng)
     for _ in range(15):

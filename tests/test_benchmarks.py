@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ansearch.benchmarks import (FUNCTION_IDS, ROTATION_BASE, SPECS, ackley, evaluate,
+from ansearch.benchmarks import (FUNCTION_IDS, ROTATION_BASE, SPECS, _penalty_sum, ackley,
                                  griewank, load_rotation_matrix, make_problem,
                                  make_rotation_matrix, noise_quadric, optimum_point,
-                                 penalty_u, rastrigin, rosenbrock, save_rotation_matrix,
+                                 rastrigin, rosenbrock, save_rotation_matrix,
                                  schwefel_2_21, schwefel_2_22, step, default_suite)
 from ansearch.core import RngStream
 
@@ -51,7 +51,7 @@ def test_optimum_certificates_all_functions():
 
 
 def test_sphere_and_rosenbrock_hand_values():
-    assert evaluate(SPECS["f1"], np.array([1.0, -2.0, 3.0])) == 14.0
+    assert make_problem("f1", 3).evaluate(np.array([1.0, -2.0, 3.0])) == 14.0
     assert rosenbrock(np.array([1.0, 2.0, 3.0])) == 201.0
     assert rosenbrock(np.ones(5)) == 0.0
 
@@ -77,12 +77,12 @@ def test_rastrigin_hand_value():
 
 
 def test_noncontinuous_rastrigin_snapping():
-    spec = SPECS["f8"]
+    f8 = make_problem("f8", 2)
     # |x| < 0.5 passes through; beyond that x snaps to halves, rounding
     # half-away-from-zero: 0.6 -> 0.5, -0.75 -> -1.0.
-    assert evaluate(spec, np.array([0.4, 0.0])) == rastrigin(np.array([0.4, 0.0]))
-    assert evaluate(spec, np.array([0.6, 0.0])) == rastrigin(np.array([0.5, 0.0]))
-    assert evaluate(spec, np.array([-0.75, 0.0])) == rastrigin(np.array([-1.0, 0.0]))
+    assert f8.evaluate(np.array([0.4, 0.0])) == rastrigin(np.array([0.4, 0.0]))
+    assert f8.evaluate(np.array([0.6, 0.0])) == rastrigin(np.array([0.5, 0.0]))
+    assert f8.evaluate(np.array([-0.75, 0.0])) == rastrigin(np.array([-1.0, 0.0]))
 
 
 def test_ackley_zero_and_symmetry():
@@ -99,16 +99,16 @@ def test_griewank_matches_direct_formula():
 
 
 def test_penalty_u_cases():
-    assert penalty_u(5.0, 10.0, 100.0, 4.0) == 0.0
-    assert penalty_u(11.0, 10.0, 100.0, 4.0) == 100.0
-    assert penalty_u(-12.0, 10.0, 100.0, 4.0) == 1600.0
+    assert _penalty_sum(np.array([5.0]), 10.0, 100.0, 4.0) == 0.0
+    assert _penalty_sum(np.array([11.0]), 10.0, 100.0, 4.0) == 100.0
+    assert _penalty_sum(np.array([-12.0]), 10.0, 100.0, 4.0) == 1600.0
 
 
 def test_penalized_certificates():
-    assert abs(evaluate(SPECS["f11"], -np.ones(12))) <= 1e-12
-    assert abs(evaluate(SPECS["f12"], np.ones(12))) <= 1e-12
+    assert abs(make_problem("f11", 12).evaluate(-np.ones(12))) <= 1e-12
+    assert abs(make_problem("f12", 12).evaluate(np.ones(12))) <= 1e-12
     # Outside the dead zone the boundary penalty dominates.
-    assert evaluate(SPECS["f11"], np.full(4, 12.0)) > 100.0
+    assert make_problem("f11", 4).evaluate(np.full(4, 12.0)) > 100.0
 
 
 def test_noise_quadric_bounds_and_determinism():
@@ -163,10 +163,10 @@ def test_rotated_equals_base_at_rotated_point():
     rng = np.random.default_rng(2)
     for fid in ("f13", "f16", "f17", "f18"):
         problem = build(fid, 6, seed=31)
-        base = SPECS[SPECS[fid].base_id]
+        base = make_problem(SPECS[fid].base_id, 6)
         for _ in range(25):
             x = rng.uniform(problem.bounds.lo, problem.bounds.hi, 6)
-            assert problem.evaluate(x) == evaluate(base, problem.rotation @ x)
+            assert problem.evaluate(x) == base.evaluate(problem.rotation @ x)
 
 
 def test_rotated_optimum_preimage():

@@ -1,12 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ansearch.core import (ObjectiveProblem, RngStream, SearchBounds, clamp_to_bounds,
-                           gaussian_sample, init_position)
+from conftest import ScriptedRng
+
+from ansearch.baselines import _clamp
+from ansearch.core import ObjectiveProblem, RngStream, SearchBounds, init_position
 from ansearch.benchmarks import make_problem
+from ansearch.engine import AnsParams, update_position
 
 
 def test_bounds_validation():
@@ -19,21 +23,10 @@ def test_bounds_validation():
         SearchBounds(-1.0, 1.0, 0)
 
 
-def test_gaussian_sample_zero_sigma_is_exactly_zero():
-    rng = RngStream(7)
-    assert gaussian_sample(rng, 0.0) == 0.0
-    assert np.all(gaussian_sample(rng, 0.0, size=100) == 0.0)
-
-
-def test_gaussian_sample_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        gaussian_sample(RngStream(7), -0.1)
-
-
 def test_gaussian_coverage_one_and_two_sigma():
     # P(|x| < sigma) = 0.6826 and P(|x| < 2 sigma) = 0.9544 for a zero-mean
     # Gaussian; checked empirically at sigma = 0.5.
-    draws = gaussian_sample(RngStream(123), 0.5, size=1_000_000)
+    draws = 0.5 * RngStream(123).standard_gaussian(1_000_000)
     inside_one = np.mean(np.abs(draws) < 0.5)
     inside_two = np.mean(np.abs(draws) < 1.0)
     assert abs(inside_one - 0.6826) < 0.003
@@ -43,34 +36,47 @@ def test_gaussian_coverage_one_and_two_sigma():
 def test_gaussian_empirical_cdf_matches_normal_cdf():
     sigma = 1.3
     n = 1_000_000
-    draws = np.sort(gaussian_sample(RngStream(99), sigma, size=n))
+    draws = np.sort(sigma * RngStream(99).standard_gaussian(n))
     cdf = 0.5 * (1.0 + np.vectorize(math.erf)(draws / (sigma * math.sqrt(2.0))))
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(grid - cdf)), np.max(np.abs(cdf - (grid - 1.0 / n))))
     assert ks < 0.01
 
 
+def ans_clamp(point, bounds):
+    # A zero Gaussian and a single individual put the update exactly on the
+    # individual's superior, so the result is that point after the box clamp.
+    params = AnsParams(population_size=1, across_degree=0, max_evals=1)
+    return update_position(np.zeros(bounds.dim), point[None, :], 0, params,
+                           ScriptedRng(gaussian_value=0.0), bounds)
+
+
+def baseline_clamp(point, bounds):
+    problem = SimpleNamespace(bounds=bounds)
+    return _clamp(point, problem, "clamp")
+
+
+CLAMPS = [ans_clamp, baseline_clamp]
+
+
 def test_clamp_examples():
     b2 = SearchBounds(-1.0, 1.0, 2)
-    np.testing.assert_array_equal(clamp_to_bounds(np.array([0.3, -0.2]), b2),
-                                  np.array([0.3, -0.2]))
     b1 = SearchBounds(-1.0, 1.0, 1)
-    np.testing.assert_array_equal(clamp_to_bounds(np.array([2.0]), b1), np.array([1.0]))
     b512 = SearchBounds(-5.12, 5.12, 2)
-    np.testing.assert_array_equal(clamp_to_bounds(np.array([-7.0, 12.0]), b512),
-                                  np.array([-5.12, 5.12]))
-
-
-def test_clamp_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        clamp_to_bounds(np.zeros(3), SearchBounds(-1.0, 1.0, 2))
+    for clamp in CLAMPS:
+        np.testing.assert_array_equal(clamp(np.array([0.3, -0.2]), b2),
+                                      np.array([0.3, -0.2]))
+        np.testing.assert_array_equal(clamp(np.array([2.0]), b1), np.array([1.0]))
+        np.testing.assert_array_equal(clamp(np.array([-7.0, 12.0]), b512),
+                                      np.array([-5.12, 5.12]))
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
 def test_clamp_keeps_inside_points_untouched(values):
     bounds = SearchBounds(-1.0, 1.0, len(values))
     pos = np.array(values)
-    np.testing.assert_array_equal(clamp_to_bounds(pos, bounds), pos)
+    for clamp in CLAMPS:
+        np.testing.assert_array_equal(clamp(pos, bounds), pos)
 
 
 def test_init_position_uniform_mean():
@@ -110,8 +116,8 @@ def test_eval_count_increments_by_one_per_evaluation():
     for k in range(1, 26):
         problem.evaluate(init_position(rng, problem.bounds))
         assert problem.eval_count == k
-    fresh = problem.fresh_copy()
-    assert fresh.eval_count == 0
+    # Each run builds its own problem, whose counter starts at zero.
+    assert make_problem("f1", 3).eval_count == 0
 
 
 def test_problem_rejects_dimension_mismatch():

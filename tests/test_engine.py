@@ -5,9 +5,9 @@ from conftest import ScriptedRng
 
 from ansearch.benchmarks import make_problem
 from ansearch.core import RngStream, SearchBounds, init_position
-from ansearch.engine import (AnsParams, Individual, PopulationState, run,
+from ansearch.engine import (AnsParams, PopulationState, init_population, run,
                              select_across_dimensions, select_peer_superior, step,
-                             update_position, update_superior)
+                             update_position)
 
 WIDE = SearchBounds(-1e9, 1e9, 2)
 
@@ -25,9 +25,10 @@ def test_params_validation():
         make_params(sigma=0.0)
     with pytest.raises(ValueError):
         make_params(across_degree=-1)
-    with pytest.raises(ValueError):
+    # The superior pool is always one memory per individual: no separate
+    # superior_count parameter exists.
+    with pytest.raises(TypeError):
         AnsParams(population_size=20, superior_count=10)
-    assert make_params().superior_count == 20
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +166,26 @@ def test_update_position_search_band_coverage():
 # ---------------------------------------------------------------------------
 
 def test_update_superior_improvement_tie_and_worse():
-    base = Individual(np.array([0.0]), 1.0, np.array([0.5]), 1.0)
-    improved = update_superior(base, np.array([0.2]), 0.5)
-    assert improved.superior_fitness == 0.5
-    np.testing.assert_array_equal(improved.superior, np.array([0.2]))
+    # 1-D sphere, no peer borrowing, sigma 1 and a Gaussian of -1: each
+    # individual moves to s - |s - x|.  Individual 0 improves (1.75 -> 0.25,
+    # fitness 0.0625 < 1), individual 1 ties (3 -> -1, fitness 1 == 1) and
+    # individual 2 gets worse (2 -> -1, fitness 1 > 0.25).
+    problem = make_problem("f1", 1)
+    params = AnsParams(population_size=3, across_degree=0, sigma=1.0, max_evals=100)
+    state = PopulationState(
+        positions=np.array([[1.75], [3.0], [2.0]]), position_fitness=np.full(3, 9.0),
+        superiors=np.array([[1.0], [1.0], [0.5]]), superior_fitness=np.array([1.0, 1.0, 0.25]),
+        best=np.array([0.5]), best_fitness=0.25)
+    step(state, problem, params, ScriptedRng(gaussian_value=-1.0))
 
-    tied = update_superior(base, np.array([0.2]), 1.0)
-    assert tied.superior_fitness == 1.0
-    np.testing.assert_array_equal(tied.superior, np.array([0.5]))  # incumbent kept
-
-    worse = update_superior(base, np.array([0.9]), 2.0)
-    np.testing.assert_array_equal(worse.superior, np.array([0.5]))
-    assert worse.pos_fitness == 2.0  # position always follows the new point
-    np.testing.assert_array_equal(worse.pos, np.array([0.9]))
+    # The position always follows the new point.
+    np.testing.assert_array_equal(state.positions, [[0.25], [-1.0], [-1.0]])
+    np.testing.assert_array_equal(state.position_fitness, [0.0625, 1.0, 1.0])
+    # Improvement adopts the new point; a tie or a worse point keeps the incumbent.
+    np.testing.assert_array_equal(state.superiors, [[0.25], [1.0], [0.5]])
+    np.testing.assert_array_equal(state.superior_fitness, [0.0625, 1.0, 0.25])
+    np.testing.assert_array_equal(state.best, [0.25])
+    assert state.best_fitness == 0.0625
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +199,7 @@ def manual_state(positions, fitnesses):
     return PopulationState(
         positions=positions.copy(), position_fitness=fitnesses.copy(),
         superiors=positions.copy(), superior_fitness=fitnesses.copy(),
-        global_best=positions[best].copy(), global_best_fitness=float(fitnesses[best]))
+        best=positions[best].copy(), best_fitness=float(fitnesses[best]))
 
 
 def test_step_live_superior_reads_within_sweep():
@@ -208,13 +216,13 @@ def test_step_live_superior_reads_within_sweep():
     # indiv 1: peer=0 live -> -0.5 + (-0.5)*|-0.5-1| = -1.25
     np.testing.assert_allclose(state.positions, [[-0.5], [-1.25]])
     np.testing.assert_allclose(state.superiors, [[-0.5], [1.0]])
-    assert state.global_best_fitness == 0.25
+    assert state.best_fitness == 0.25
 
     frozen_params = AnsParams(population_size=2, across_degree=1, sigma=0.5,
                               max_evals=100, frozen_superiors=True)
     state = manual_state([[4.0], [1.0]], [16.0, 1.0])
     rng = ScriptedRng(integer_draws=list(script), gaussian_value=-1.0)
-    step(state, problem.fresh_copy(), frozen_params, rng)
+    step(state, make_problem("f1", 1), frozen_params, rng)
     # indiv 1 now reads 0's sweep-start superior: 4 + (-0.5)*|4-1| = 2.5
     np.testing.assert_allclose(state.positions, [[-0.5], [2.5]])
 
@@ -230,8 +238,8 @@ def test_step_consumes_population_size_evaluations():
 
 
 def run_initial(problem, params, seed):
-    from ansearch.engine import initialize
-    return initialize(problem, params, RngStream(seed))
+    return init_population(problem, PopulationState.from_population, params.population_size,
+                           params.max_evals, RngStream(seed))
 
 
 def test_step_global_best_monotone_and_consistent():
@@ -239,12 +247,12 @@ def test_step_global_best_monotone_and_consistent():
     params = make_params(max_evals=50_000)
     state = run_initial(problem, params, seed=11)
     rng = RngStream(12)
-    last = state.global_best_fitness
+    last = state.best_fitness
     for _ in range(60):
         step(state, problem, params, rng)
-        assert state.global_best_fitness <= last
-        assert state.global_best_fitness == state.superior_fitness.min()
-        last = state.global_best_fitness
+        assert state.best_fitness <= last
+        assert state.best_fitness == state.superior_fitness.min()
+        last = state.best_fitness
         assert np.all(state.superior_fitness <= np.inf)
 
 
@@ -278,7 +286,7 @@ def test_improvement_liveness_on_sphere():
     params = make_params(max_evals=20 * 6)
     for seed in range(100):
         problem = make_problem("f1", 2)
-        result = run(problem, params, seed, snapshot_gens=None)
+        result = run(problem, params, seed)
         start = result.history[0][1]
         if any(fit < start for _, fit in result.history[1:6]):
             improved += 1
@@ -330,12 +338,19 @@ def test_run_max_generations_termination():
 
 def test_run_snapshots_captured_at_requested_generations():
     params = make_params(max_evals=20 * 11, max_generations=10)
-    result = run(make_problem("f7", 2), params, seed=6, snapshot_gens=[0, 3, 10, 99])
-    gens = [snap.generation for snap in result.snapshots]
+    wanted = {0, 3, 10, 99}
+    snapshots = []
+
+    def capture(state):
+        if state.generation in wanted:
+            snapshots.append((state.generation, state.positions.copy(), state.superiors.copy()))
+
+    result = run(make_problem("f7", 2), params, seed=6, on_generation=capture)
+    gens = [gen for gen, _, _ in snapshots]
     assert gens == [0, 3, 10]  # 99 is beyond termination
-    for snap in result.snapshots:
-        assert snap.positions.shape == (20, 2)
-        assert snap.superiors.shape == (20, 2)
+    for _, positions, superiors in snapshots:
+        assert positions.shape == (20, 2)
+        assert superiors.shape == (20, 2)
     init_best = result.history[0][1]
     assert np.min([result.history[g][1] for g in (3, 10)]) <= init_best
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -101,6 +102,10 @@ def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f1\ndimensions = 5\nacross_degree = 9\n")
     assert err.value.code == "invalid_value"
+    # The superior pool is always population_size strong; no key sets it.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("functions = f1\ndimensions = 5\nsuperior_count = 20\n")
+    assert err.value.code == "unknown_key"
 
 
 def test_config_comments_and_blank_lines():
@@ -194,6 +199,59 @@ def test_run_batch_records_failures_and_continues(tmp_path, monkeypatch):
         assert len(fh.read().splitlines()) == 4
 
 
+def test_failures_csv_keeps_one_row_per_multiline_error(tmp_path, monkeypatch):
+    def boom(job):
+        raise ValueError("a,b\nc")
+
+    monkeypatch.setattr(harness, "execute_job", boom)
+    config = tiny_config(tmp_path, functions=("f1",), runs=1)
+    batch = run_batch(config, workers=1)
+    assert len(batch.failures) == 1
+    with open(os.path.join(config.output_dir, "failures.csv"), newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == ""
+    header, row = lines[:-1]
+    assert header == "function,run_index,error"
+    fields = row.split(",")
+    assert len(fields) == 3 and "\r" not in row
+    assert fields[:2] == ["f1", "0"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no worker process is started."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_workers_clamped_to_cores_and_jobs(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    config = tiny_config(tmp_path, max_evals=60)  # 2 functions x 3 runs = 6 jobs
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_batch(config, workers=1000, write_files=False)
+    run_batch(config, workers=3, write_files=False)
+    run_batch(config, workers=1, write_files=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_batch(config, workers=1000, write_files=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_batch(config, workers=1000, write_files=False)
+    # cores, the request, (serial: no pool), jobs, (unknown core count: serial)
+    assert RecordingPool.created == [4, 3, 6]
+
+
 def test_summary_format_nfe_dashes(tmp_path):
     # f2 at this tiny budget never reaches the success threshold.
     config = tiny_config(tmp_path, functions=("f2",), max_evals=200)
@@ -203,6 +261,24 @@ def test_summary_format_nfe_dashes(tmp_path):
     assert header == "function,mean,std,nfe,sr,rank"
     fields = row.split(",")
     assert fields[0] == "f2" and fields[3] == "---" and fields[4] == "0%"
+
+
+def test_recompute_summaries_skips_blank_lines(tmp_path):
+    config = tiny_config(tmp_path)
+    run_batch(config)
+    out = config.output_dir
+    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+        original = fh.read()
+    path = os.path.join(out, "results_ans_f1.csv")
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, rows[0], "", *rows[1:]]) + "\n\n")
+    assert len(read_results_csv(path)) == 3
+    found = recompute_summaries(out)
+    assert set(found["ans"]) == {"f1", "f5"}
+    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+        assert fh.read() == original
 
 
 def test_recompute_summaries_round_trip(tmp_path):
@@ -264,7 +340,7 @@ def test_sweep_population_size(tmp_path):
 def test_trace_files_and_warnings(tmp_path):
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2,
                          max_evals=20 * 6, max_generations=5, runs=1)
-    result, warnings = trace(config, gens=[0, 3, 9])
+    result, snapshots, warnings = trace(config, gens=[0, 3, 9])
     out = config.output_dir
     assert sorted(os.listdir(out)) == ["trace_gen0.csv", "trace_gen3.csv"]
     assert len(warnings) == 1 and "9" in warnings[0]
@@ -279,8 +355,8 @@ def test_trace_files_and_warnings(tmp_path):
 def test_trace_initial_snapshot_is_uniform_scatter(tmp_path):
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2,
                          max_evals=40, runs=1)
-    result, _ = trace(config, gens=[0])
-    snap = result.snapshots[0]
+    _, snapshots, _ = trace(config, gens=[0])
+    snap = snapshots[0]
     np.testing.assert_array_equal(snap.positions, snap.superiors)
     assert snap.positions.min() >= -5.12 and snap.positions.max() <= 5.12
 
@@ -290,9 +366,9 @@ def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
     # solution of this seeded run has collapsed onto the global optimum.
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
                          max_evals=20 * 85, master_seed=1)
-    result, warnings = trace(config, gens=[80], write_files=False)
+    _, snapshots, warnings = trace(config, gens=[80], write_files=False)
     assert not warnings
-    superiors = result.snapshots[0].superiors
+    superiors = snapshots[0].superiors
     assert np.max(np.abs(superiors)) < 1e-2
 
 
@@ -374,6 +450,33 @@ def test_compare_shares_rotation_across_algorithms(tmp_path):
     a = benchmarks.load_rotation_matrix(tmp_path / "cmp3" / "ans" / "rotation_f13_D3.txt")
     b = benchmarks.load_rotation_matrix(tmp_path / "cmp3" / "de" / "rotation_f13_D3.txt")
     np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+# This digest pins the report bytes of a small ans/pso/de comparison, so a
+# refactor that should not change any result can be checked against it.  It
+# also pins the numpy/OpenBLAS build it was computed with (rotation matrices
+# come from a QR factorization).  A deliberate change of the RNG stream order
+# (a STREAM_VERSION bump, ROADMAP item 3) is the only expected reason to
+# update it.
+GOLDEN_COMPARE_SHA256 = "487be7c45b4ed501aed44122dd80c08b386cc71d521628e425a004b096dc36d8"
+
+
+def tree_sha256(root):
+    digest = hashlib.sha256()
+    paths = sorted(os.path.relpath(os.path.join(dirpath, name), root)
+                   for dirpath, _, files in os.walk(root) for name in files)
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as fh:
+            digest.update(rel.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+def test_compare_report_golden_digest(tmp_path):
+    ans = parse_config_text("algorithm = ans\nfunctions = f1,f6,f7,f13\ndimensions = 4\n"
+                            "runs = 3\nmax_evals = 300\nmaster_seed = 321\n")
+    configs = [ans, replace(ans, algorithm="pso"), replace(ans, algorithm="de")]
+    compare(configs, reference="ans", output_dir=str(tmp_path / "cmp"))
+    assert tree_sha256(tmp_path / "cmp") == GOLDEN_COMPARE_SHA256
 
 
 # ---------------------------------------------------------------------------
