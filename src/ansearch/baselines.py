@@ -1,9 +1,10 @@
 """Canonical comparison baselines: global-best PSO and DE/rand/1/bin.
 
-Both run under the same evaluation accounting, seeding, success threshold
-and boundary policy as the across-neighbourhood optimizer, so comparisons
-are protocol-fair.  Default parameters are community-standard canonical
-settings, not tuned variants.
+Both share the across-neighbourhood optimizer's run loop and bookkeeping
+(:class:`~ansearch.engine.RunState`: evaluation accounting, success
+threshold, best-so-far) and take the boundary policy from the problem's
+bounds, so comparisons are protocol-fair.  Default parameters are
+community-standard canonical settings, not tuned variants.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream
-from .engine import SUCCESS_THRESHOLD, RunResult, run_loop
+from .engine import RunResult, RunState, run_loop
 
 
 @dataclass(frozen=True)
@@ -55,41 +56,25 @@ class DeParams:
 
 
 @dataclass
-class SwarmState:
+class SwarmState(RunState):
     positions: np.ndarray
     velocities: np.ndarray
     pbest: np.ndarray
     pbest_fitness: np.ndarray
-    best: Optional[np.ndarray] = None   # global best
-    best_fitness: float = np.inf
-    generation: int = 0
-    evals_used: int = 0
-    evals_to_success: Optional[int] = None
 
     @classmethod
-    def from_population(cls, positions: np.ndarray, fitness: np.ndarray) -> "SwarmState":
+    def from_population(cls, positions: np.ndarray, fitness: np.ndarray, **run) -> "SwarmState":
         """Zero initial velocities; pbest starts as copies of the start points."""
-        return cls(positions, np.zeros_like(positions), positions.copy(), fitness.copy())
+        return cls(positions, np.zeros_like(positions), positions.copy(), fitness.copy(), **run)
 
 
 @dataclass
-class DeState:
+class DeState(RunState):
     """The initial population is the state itself, so ``DeState(population,
-    fitness)`` serves as the initializer's state constructor."""
+    fitness, **run)`` serves as the initializer's state constructor."""
 
     population: np.ndarray
     fitness: np.ndarray
-    best: Optional[np.ndarray] = None
-    best_fitness: float = np.inf
-    generation: int = 0
-    evals_used: int = 0
-    evals_to_success: Optional[int] = None
-
-
-def _clamp(x: np.ndarray, problem: ObjectiveProblem, boundary: str) -> np.ndarray:
-    if boundary == "clamp":
-        return np.clip(x, problem.bounds.lo, problem.bounds.hi)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +82,11 @@ def _clamp(x: np.ndarray, problem: ObjectiveProblem, boundary: str) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
-             rng: RngStream, boundary: str = "clamp",
-             success_threshold: float = SUCCESS_THRESHOLD) -> SwarmState:
+             rng: RngStream) -> SwarmState:
     """One generation of the inertia-weight velocity/position update.
 
     v <- w v + c1 r1 (pbest - x) + c2 r2 (best - x) with fresh uniform
-    r1, r2 per dimension; pbest/best update on strict improvement only.
+    r1, r2 per dimension; pbest updates on strict improvement only.
     """
     v_max = params.v_max if params.v_max is not None else 0.5 * problem.bounds.width
     for i in range(params.swarm_size):
@@ -115,19 +99,13 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
              + params.c1 * r1 * (state.pbest[i] - x)
              + params.c2 * r2 * (state.best - x))
         np.clip(v, -v_max, v_max, out=v)
-        new_pos = _clamp(x + v, problem, boundary)
-        fit = problem.evaluate(new_pos, rng)
-        state.evals_used += 1
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
+        new_pos = problem.bounds.clip(x + v)
+        fit = state.evaluate(problem, new_pos, rng)
         state.velocities[i] = v
         state.positions[i] = new_pos
         if fit < state.pbest_fitness[i]:
             state.pbest[i] = new_pos
             state.pbest_fitness[i] = fit
-            if fit < state.best_fitness:
-                state.best = new_pos.copy()
-                state.best_fitness = fit
     state.generation += 1
     return state
 
@@ -149,8 +127,7 @@ def _three_distinct(rng: RngStream, pop_size: int, exclude: int) -> Tuple[int, i
 
 
 def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
-            rng: RngStream, boundary: str = "clamp",
-            success_threshold: float = SUCCESS_THRESHOLD) -> DeState:
+            rng: RngStream) -> DeState:
     """One generation of rand/1 mutation, binomial crossover with one forced
     dimension, and greedy selection (strict improvement replaces the target)."""
     pop = state.population
@@ -162,18 +139,11 @@ def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
         donor = pop[r1] + params.weight * (pop[r2] - pop[r3])
         cross = rng.uniform(0.0, 1.0, dim) < params.crossover
         cross[rng.integer(dim)] = True
-        trial = np.where(cross, donor, pop[i])
-        trial = _clamp(trial, problem, boundary)
-        fit = problem.evaluate(trial, rng)
-        state.evals_used += 1
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
+        trial = problem.bounds.clip(np.where(cross, donor, pop[i]))
+        fit = state.evaluate(problem, trial, rng)
         if fit < state.fitness[i]:
             pop[i] = trial
             state.fitness[i] = fit
-            if fit < state.best_fitness:
-                state.best = trial.copy()
-                state.best_fitness = fit
     state.generation += 1
     return state
 
@@ -183,14 +153,11 @@ def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
 # ---------------------------------------------------------------------------
 
 def pso_run(problem: ObjectiveProblem, params: PsoParams,
-            seed: Union[int, Sequence[int], RngStream], boundary: str = "clamp",
-            success_threshold: float = SUCCESS_THRESHOLD) -> RunResult:
+            seed: Union[int, Sequence[int]]) -> RunResult:
     return run_loop(problem, params, seed, params.swarm_size, SwarmState.from_population,
-                    pso_step, boundary, success_threshold)
+                    pso_step)
 
 
 def de_run(problem: ObjectiveProblem, params: DeParams,
-           seed: Union[int, Sequence[int], RngStream], boundary: str = "clamp",
-           success_threshold: float = SUCCESS_THRESHOLD) -> RunResult:
-    return run_loop(problem, params, seed, params.pop_size, DeState, de_step,
-                    boundary, success_threshold)
+           seed: Union[int, Sequence[int]]) -> RunResult:
+    return run_loop(problem, params, seed, params.pop_size, DeState, de_step)

@@ -262,15 +262,16 @@ def load_rotation_matrix(path) -> RotationMatrix:
 
 def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] = None,
                  rotation_seed: Optional[int] = None,
-                 f8_narrow_range: bool = False) -> ObjectiveProblem:
-    """Bind a benchmark spec to a dimensionality (and rotation, if rotated)."""
+                 f8_narrow_range: bool = False, boundary: str = "clamp") -> ObjectiveProblem:
+    """Bind a benchmark spec to a dimensionality (and rotation, if rotated)
+    and to the boundary policy (``clamp`` or ``none``, see :class:`SearchBounds`)."""
     if function_id not in SPECS:
         raise ValueError(f"unknown function id {function_id!r}")
     spec = SPECS[function_id]
     lo, hi = spec.lo, spec.hi
     if function_id == "f8" and f8_narrow_range:
         lo, hi = -5.12, 5.12
-    bounds = SearchBounds(lo, hi, dim)
+    bounds = SearchBounds(lo, hi, dim, boundary)
 
     matrix = None
     if spec.is_rotated:

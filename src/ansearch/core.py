@@ -12,25 +12,38 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
+BOUNDARY_POLICIES = ("clamp", "none")
 
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Symmetric box constraint: every coordinate lies in [lo, hi]."""
+    """Symmetric box [lo, hi] in every coordinate, and the policy every
+    optimizer applies to the points it generates: ``clamp`` projects them
+    onto the box, ``none`` leaves them free (initial points always lie in
+    the box)."""
 
     lo: float
     hi: float
     dim: int
+    boundary: str = "clamp"
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"invalid bounds: lo={self.lo} must be < hi={self.hi}")
         if self.dim < 1:
             raise ValueError(f"dimensionality must be >= 1, got {self.dim}")
+        if self.boundary not in BOUNDARY_POLICIES:
+            raise ValueError(f"unknown boundary policy {self.boundary!r}")
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        """``x`` under the boundary policy."""
+        if self.boundary == "clamp":
+            return np.clip(x, self.lo, self.hi)
+        return x
 
 
 class RngStream:

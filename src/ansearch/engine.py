@@ -8,8 +8,8 @@ position.  On a randomly chosen subset of dimensions (the across-search
 degree) the individual borrows a random peer's superior instead of its own,
 mixing good components from several memories at once.
 
-The population initializer and run loop at the end of this module are
-shared with the PSO and DE baselines.
+The run bookkeeping (:class:`RunState`), the population initializer and
+the run loop are shared with the PSO and DE baselines.
 """
 
 from __future__ import annotations
@@ -56,28 +56,49 @@ class AnsParams:
             raise ValueError("max_generations must be >= 1 when given")
 
 
-@dataclass
-class PopulationState:
-    """Population arrays; row i of ``superiors`` is individual i's memory.
+@dataclass(kw_only=True)
+class RunState:
+    """Run bookkeeping shared by the ANS, PSO and DE states.
 
-    ``best`` .. ``evals_to_success`` are the run bookkeeping every optimizer
-    state carries under the same names (see :func:`run_loop`).
+    :meth:`evaluate` is the one place an optimizer evaluates a point, so
+    evaluation counting, the first-success record and the best-so-far follow
+    one rule for all three algorithms.
     """
 
-    positions: np.ndarray          # (m, D)
-    position_fitness: np.ndarray   # (m,)
-    superiors: np.ndarray          # (m, D)
-    superior_fitness: np.ndarray   # (m,)
     best: Optional[np.ndarray] = None
     best_fitness: float = np.inf
     generation: int = 0
     evals_used: int = 0
     evals_to_success: Optional[int] = None
 
+    def evaluate(self, problem: ObjectiveProblem, x: np.ndarray, rng: RngStream) -> float:
+        """Evaluate ``x``, count it, note the first fitness below
+        SUCCESS_THRESHOLD and adopt ``x`` as best on strict improvement (the
+        first evaluation of a run always becomes the best)."""
+        fit = problem.evaluate(x, rng)
+        self.evals_used += 1
+        if self.evals_to_success is None and fit < SUCCESS_THRESHOLD:
+            self.evals_to_success = self.evals_used
+        if fit < self.best_fitness or self.best is None:
+            self.best = x.copy()
+            self.best_fitness = fit
+        return fit
+
+
+@dataclass
+class PopulationState(RunState):
+    """Population arrays; row i of ``superiors`` is individual i's memory."""
+
+    positions: np.ndarray          # (m, D)
+    position_fitness: np.ndarray   # (m,)
+    superiors: np.ndarray          # (m, D)
+    superior_fitness: np.ndarray   # (m,)
+
     @classmethod
-    def from_population(cls, positions: np.ndarray, fitness: np.ndarray) -> "PopulationState":
+    def from_population(cls, positions: np.ndarray, fitness: np.ndarray,
+                        **run) -> "PopulationState":
         """Superiors start as copies of the initial positions."""
-        return cls(positions, fitness, positions.copy(), fitness.copy())
+        return cls(positions, fitness, positions.copy(), fitness.copy(), **run)
 
 
 @dataclass
@@ -122,9 +143,8 @@ def _peer_indices(rng: RngStream, count: int, self_index: int, k: int) -> np.nda
 
 
 def update_position(position: np.ndarray, superiors: np.ndarray, self_index: int,
-                    params: AnsParams, rng: RngStream, bounds: SearchBounds,
-                    boundary: str = "clamp") -> np.ndarray:
-    """One position update.
+                    params: AnsParams, rng: RngStream, bounds: SearchBounds) -> np.ndarray:
+    """One position update, under the boundary policy of ``bounds``.
 
     Per-dimension rule: new value = s_d + G(0, sigma^2) * |s_d - current_d|
     where s_d is the individual's own superior except on the across-search
@@ -140,17 +160,13 @@ def update_position(position: np.ndarray, superiors: np.ndarray, self_index: int
         peers = _peer_indices(rng, superiors.shape[0], self_index, dims.shape[0])
         base[dims] = superiors[peers, dims]
     gauss = rng.standard_gaussian(dim)
-    new_pos = base + (params.sigma * gauss) * np.abs(base - position)
-    if boundary == "clamp":
-        return np.clip(new_pos, bounds.lo, bounds.hi)
-    return new_pos
+    return bounds.clip(base + (params.sigma * gauss) * np.abs(base - position))
 
 
 def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
-         rng: RngStream, boundary: str = "clamp",
-         success_threshold: float = SUCCESS_THRESHOLD) -> PopulationState:
+         rng: RngStream) -> PopulationState:
     """One generation: every individual moves, is evaluated, and may refresh
-    its superior and the global best.
+    its superior (the global best is kept by :meth:`RunState.evaluate`).
 
     Individuals are processed in index order and read the superior pool
     live, so updates earlier in the sweep are visible to later individuals
@@ -168,11 +184,8 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
     for i in range(params.population_size):
         if state.evals_used >= max_evals:
             break
-        new_pos = update_position(positions[i], peer_pool, i, params, rng, bounds, boundary)
-        fit = problem.evaluate(new_pos, rng)
-        state.evals_used += 1
-        if state.evals_to_success is None and fit < success_threshold:
-            state.evals_to_success = state.evals_used
+        new_pos = update_position(positions[i], peer_pool, i, params, rng, bounds)
+        fit = state.evaluate(problem, new_pos, rng)
         positions[i] = new_pos
         pos_fitness[i] = fit
         # Strict improvement only: ties keep the incumbent superior, so
@@ -180,9 +193,6 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
         if fit < sup_fitness[i]:
             superiors[i] = new_pos
             sup_fitness[i] = fit
-            if fit < state.best_fitness:
-                state.best = new_pos.copy()
-                state.best_fitness = fit
     state.generation += 1
     return state
 
@@ -192,66 +202,44 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
 # ---------------------------------------------------------------------------
 
 def init_population(problem: ObjectiveProblem, new_state: Callable, size: int, max_evals: int,
-                    rng: RngStream, success_threshold: float = SUCCESS_THRESHOLD):
+                    rng: RngStream):
     """Draw and evaluate an initial population of ``size`` uniform points.
 
     Every point is drawn, even past the budget, so the stream does not
     depend on it; evaluation stops once ``max_evals`` is used and the rows
-    left unevaluated keep +inf fitness.  ``new_state(positions, fitness)``
-    wraps the arrays in the optimizer's state; the bookkeeping fields
-    (``best``, ``best_fitness``, ``evals_used``, ``evals_to_success``) are
-    filled in here.
+    left unevaluated keep +inf fitness.  ``new_state(positions, fitness,
+    **run)`` wraps the arrays in the optimizer's state, carrying over the
+    :class:`RunState` bookkeeping of the evaluations made here.
     """
     positions = np.empty((size, problem.bounds.dim))
     fitness = np.full(size, np.inf)
-    evals_used = 0
-    evals_to_success = None
+    run = RunState()
     for i in range(size):
         positions[i] = init_position(rng, problem.bounds)
-        if evals_used >= max_evals:
-            continue
-        fit = problem.evaluate(positions[i], rng)
-        evals_used += 1
-        fitness[i] = fit
-        if evals_to_success is None and fit < success_threshold:
-            evals_to_success = evals_used
-    state = new_state(positions, fitness)
-    best = int(np.argmin(fitness))
-    state.best = positions[best].copy()
-    state.best_fitness = float(fitness[best])
-    state.evals_used = evals_used
-    state.evals_to_success = evals_to_success
-    return state
+        if run.evals_used < max_evals:
+            fitness[i] = run.evaluate(problem, positions[i], rng)
+    return new_state(positions, fitness, **vars(run))
 
 
-def run_loop(problem: ObjectiveProblem, params, seed: Union[int, Sequence[int], RngStream],
-             size: int, new_state: Callable, step_fn: Callable, boundary: str = "clamp",
-             success_threshold: float = SUCCESS_THRESHOLD,
+def run_loop(problem: ObjectiveProblem, params, seed: Union[int, Sequence[int]],
+             size: int, new_state: Callable, step_fn: Callable,
              on_generation: Optional[Callable] = None) -> RunResult:
     """Initialize, then step until whichever budget hits first
     (``params.max_evals`` is always enforced; ``params.max_generations``
     counts update sweeps after initialization when given).
 
-    ``step_fn(state, problem, params, rng, boundary, success_threshold)``
-    advances one generation.  ``on_generation(state)``, when given, sees the
-    state after initialization (generation 0) and after every step.
+    ``step_fn(state, problem, params, rng)`` advances one generation.
+    ``on_generation(state)``, when given, sees the state after
+    initialization (generation 0) and after every step.
     """
-    if boundary not in ("clamp", "none"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
-    if isinstance(seed, RngStream):
-        rng = seed
-        seed_value = rng.seed
-    else:
-        rng = RngStream(seed)
-        seed_value = seed
-
-    state = init_population(problem, new_state, size, params.max_evals, rng, success_threshold)
+    rng = RngStream(seed)
+    state = init_population(problem, new_state, size, params.max_evals, rng)
     history: List[Tuple[int, float]] = [(state.evals_used, state.best_fitness)]
     if on_generation is not None:
         on_generation(state)
     while state.evals_used < params.max_evals and (
             params.max_generations is None or state.generation < params.max_generations):
-        step_fn(state, problem, params, rng, boundary, success_threshold)
+        step_fn(state, problem, params, rng)
         history.append((state.evals_used, state.best_fitness))
         if on_generation is not None:
             on_generation(state)
@@ -261,19 +249,17 @@ def run_loop(problem: ObjectiveProblem, params, seed: Union[int, Sequence[int], 
         best_position=state.best.copy(),
         evals_to_success=state.evals_to_success,
         history=history,
-        seed=seed_value,
+        seed=seed,
         evals_used=state.evals_used,
         generations=state.generation,
     )
 
 
-def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[int], RngStream],
-        boundary: str = "clamp", success_threshold: float = SUCCESS_THRESHOLD,
+def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[int]],
         on_generation: Optional[Callable[[PopulationState], None]] = None) -> RunResult:
     """Full across-neighbourhood search run (see :func:`run_loop`)."""
     if params.across_degree > problem.bounds.dim:
         raise ValueError(f"across_degree {params.across_degree} exceeds dimensionality "
                          f"{problem.bounds.dim}")
     return run_loop(problem, params, seed, params.population_size,
-                    PopulationState.from_population, step, boundary, success_threshold,
-                    on_generation)
+                    PopulationState.from_population, step, on_generation)

@@ -19,7 +19,7 @@ import numpy as np
 from . import benchmarks, stats
 from .baselines import DeParams, PsoParams, de_run, pso_run
 from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation_matrix
-from .core import ObjectiveProblem
+from .core import BOUNDARY_POLICIES, ObjectiveProblem
 from .engine import AnsParams, RunResult, run as ans_run
 
 ALGORITHMS = ("ans", "pso", "de")
@@ -137,9 +137,11 @@ def _parse_function_list(key, text):
     ids = tuple(part.strip() for part in text.split(",") if part.strip())
     if not ids:
         raise ConfigError("invalid_value", f"{key}: empty function list")
-    for fid in ids:
+    for i, fid in enumerate(ids):
         if fid not in SPECS:
             raise ConfigError("invalid_value", f"{key}: unknown function id {fid!r}")
+        if fid in ids[:i]:
+            raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
     return ids
 
 
@@ -203,7 +205,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("invalid_value", "dimensions must be >= 1")
     if config.runs < 1:
         raise ConfigError("invalid_value", "runs must be >= 1")
-    if config.boundary_policy not in ("clamp", "none"):
+    if config.boundary_policy not in BOUNDARY_POLICIES:
         raise ConfigError("invalid_value", f"boundary_policy must be clamp or none, "
                                            f"got {config.boundary_policy!r}")
     if config.finner_mode not in ("step_down", "single_step"):
@@ -216,14 +218,18 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         if not 0 <= n <= config.dimensions:
             raise ConfigError("invalid_value", f"n_per_function[{fid}] = {n} outside "
                                                f"[0, {config.dimensions}]")
-    if any(g < 0 for g in config.snapshot_gens):
-        raise ConfigError("invalid_value", "snapshot_gens entries must be >= 0")
+    _check_snapshot_gens(config.snapshot_gens)
     try:
         for fid in config.functions:
             config.params_for(fid)
     except ValueError as exc:
         raise ConfigError("invalid_value", str(exc)) from None
     return config
+
+
+def _check_snapshot_gens(gens: Sequence[int]) -> None:
+    if any(g < 0 for g in gens):
+        raise ConfigError("invalid_value", "snapshot generations must be >= 0")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -304,13 +310,14 @@ class Job:
     def problem(self) -> ObjectiveProblem:
         return benchmarks.make_problem(self.function_id, self.dimensions,
                                        rotation_seed=self.rotation_seed,
-                                       f8_narrow_range=self.f8_narrow_range)
+                                       f8_narrow_range=self.f8_narrow_range,
+                                       boundary=self.boundary)
 
 
 def execute_job(job: Job) -> RunResult:
     # Looked up per call, so the module-level run names can be wrapped.
     run_fn = {"ans": ans_run, "pso": pso_run, "de": de_run}[job.algorithm]
-    return run_fn(job.problem(), job.params, job.seed, boundary=job.boundary)
+    return run_fn(job.problem(), job.params, job.seed)
 
 
 def _safe_execute(job: Job):
@@ -402,6 +409,13 @@ def _fmt_nfe(nfe: Optional[float]) -> str:
 
 def _fmt_sr(sr: float) -> str:
     return f"{sr * 100:g}%"
+
+
+def _fmt_value(value: float) -> str:
+    """``:g`` where it is exact, else the shortest text that reads back as
+    ``value`` (``repr``), so no swept value is rounded."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def results_file(out_dir: str, algorithm: str, function_id: str) -> str:
@@ -512,7 +526,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
             fh.write(f"function,{parameter},mean,std,nfe,sr,best\n")
             for row in rows:
                 s = row.summary
-                fh.write(f"{row.function_id},{row.value:g},{s.mean:.6E},{s.std:.6E},"
+                fh.write(f"{row.function_id},{_fmt_value(row.value)},{s.mean:.6E},{s.std:.6E},"
                          f"{_fmt_nfe(s.mean_nfe_to_success)},{_fmt_sr(s.success_rate)},"
                          f"{int(row.best)}\n")
     return rows
@@ -540,6 +554,7 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
     snapshot_gens = tuple(gens) if gens is not None else config.snapshot_gens
     if not snapshot_gens:
         raise ConfigError("invalid_value", "trace needs at least one snapshot generation")
+    _check_snapshot_gens(snapshot_gens)
     if len(config.functions) != 1:
         raise ConfigError("invalid_value", "trace expects exactly one function")
     wanted = set(snapshot_gens)
@@ -551,8 +566,7 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
                                       state.superiors.copy()))
 
     job = _make_jobs(replace(config, runs=1))[0]
-    result = ans_run(job.problem(), job.params, job.seed, boundary=job.boundary,
-                     on_generation=capture)
+    result = ans_run(job.problem(), job.params, job.seed, on_generation=capture)
 
     captured = {snap.generation for snap in snapshots}
     warnings = [f"snapshot generation {g} is beyond termination "
@@ -736,10 +750,10 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
 
 def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionSummary]]:
     """Rebuild per-function summaries from the raw results CSVs in a
-    directory, keyed by algorithm then function; rewrites the summary files."""
+    directory, keyed by algorithm then function (in function-number order);
+    rewrites the summary files."""
     found: Dict[str, Dict[str, stats.FunctionSummary]] = {}
-    names = sorted(os.listdir(results_dir))
-    for name in names:
+    for name in sorted(os.listdir(results_dir)):
         if not (name.startswith("results_") and name.endswith(".csv")):
             continue
         stem = name[len("results_"):-len(".csv")]
@@ -750,6 +764,6 @@ def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionS
         summary = stats.summarize([r[2] for r in rows], [r[3] for r in rows])
         found.setdefault(alg, {})[fid] = summary
     for alg, by_fid in found.items():
-        ordered = sorted(by_fid, key=lambda f: _FUNC_NUMBER[f])
-        _write_summary(results_dir, alg, [(fid, by_fid[fid]) for fid in ordered])
+        found[alg] = {fid: by_fid[fid] for fid in sorted(by_fid, key=_FUNC_NUMBER.get)}
+        _write_summary(results_dir, alg, list(found[alg].items()))
     return found

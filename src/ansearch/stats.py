@@ -4,21 +4,21 @@ The two-sample rank-sum test and the paired signed-rank test are
 implemented from scratch because the evaluation protocol needs exact
 p-values in the presence of ties (final fitnesses are often identical
 zeros), which off-the-shelf exact methods refuse.  Small samples are
-enumerated exactly with integer arithmetic (doubled mid-ranks), larger
-ones use the tie-corrected normal approximation.
+counted exactly with integer arithmetic (doubled mid-ranks), larger ones
+use the tie-corrected normal approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-# Exact enumeration limits: C(20, 10) subsets for the rank-sum test,
-# 2^25 sign patterns (counted by dynamic programming) for the signed-rank.
+# Exact-count limits (both counted by dynamic programming): pooled size 20
+# for the rank-sum test, 25 non-zero differences for the signed-rank.
 RANK_SUM_EXACT_LIMIT = 20
 SIGNED_RANK_EXACT_LIMIT = 25
 
@@ -115,14 +115,16 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> float:
     mean2 = n1 * (total + 1)               # doubled null mean
 
     if total <= RANK_SUM_EXACT_LIMIT:
-        target = abs(observed2 - mean2)
-        hits = 0
-        count = 0
-        for subset in combinations(doubled, n1):  # positional, so ties enumerate fully
-            count += 1
-            if abs(sum(subset) - mean2) >= target:
-                hits += 1
-        return hits / count
+        # ways[k, s] = number of size-k position subsets whose doubled rank
+        # sum is s (positional, so ties count fully); exact integers.
+        total2 = sum(doubled)
+        ways = np.zeros((n1 + 1, total2 + 1), dtype=np.uint64)
+        ways[0, 0] = 1
+        for r in doubled:  # doubled mid-ranks are always >= 2
+            ways[1:, r:] += ways[:-1, :-r].copy()
+        sums2 = np.arange(total2 + 1)
+        hits = int(ways[n1, np.abs(sums2 - mean2) >= abs(observed2 - mean2)].sum())
+        return hits / math.comb(total, n1)
 
     ties = [len(list(g)) for _, g in groupby(sorted(pooled))]
     tie_term = sum(t ** 3 - t for t in ties)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from conftest import ScriptedRng
 
-from ansearch.baselines import _clamp
 from ansearch.core import ObjectiveProblem, RngStream, SearchBounds, init_position
 from ansearch.benchmarks import make_problem
 from ansearch.engine import AnsParams, update_position
@@ -21,6 +19,11 @@ def test_bounds_validation():
         SearchBounds(1.0, -1.0, 3)
     with pytest.raises(ValueError):
         SearchBounds(-1.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        SearchBounds(-1.0, 1.0, 3, boundary="reflect")
+    outside = np.array([-3.0, 0.5, 2.0])
+    np.testing.assert_array_equal(SearchBounds(-1.0, 1.0, 3, boundary="none").clip(outside),
+                                  outside)
 
 
 def test_gaussian_coverage_one_and_two_sigma():
@@ -51,12 +54,12 @@ def ans_clamp(point, bounds):
                            ScriptedRng(gaussian_value=0.0), bounds)
 
 
-def baseline_clamp(point, bounds):
-    problem = SimpleNamespace(bounds=bounds)
-    return _clamp(point, problem, "clamp")
+def bounds_clip(point, bounds):
+    # The PSO and DE steps clip through the problem's bounds directly.
+    return bounds.clip(point)
 
 
-CLAMPS = [ans_clamp, baseline_clamp]
+CLAMPS = [ans_clamp, bounds_clip]
 
 
 def test_clamp_examples():

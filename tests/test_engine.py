@@ -155,7 +155,7 @@ def test_update_position_search_band_coverage():
     superiors = np.vstack([own, np.zeros(dim)])
     params = AnsParams(population_size=2, across_degree=0, sigma=0.5, max_evals=10)
     new = update_position(pos, superiors, 0, params, rng,
-                          SearchBounds(-1e12, 1e12, dim), boundary="none")
+                          SearchBounds(-1e12, 1e12, dim, boundary="none"))
     width = np.abs(own - pos)
     inside = np.mean(np.abs(new - own) <= width)
     assert abs(inside - 0.9544) < 0.01
@@ -359,8 +359,9 @@ def test_run_rejects_bad_inputs():
     params = make_params(across_degree=10)
     with pytest.raises(ValueError):
         run(make_problem("f1", 4), params, seed=0)
+    # The boundary policy is part of the problem.
     with pytest.raises(ValueError):
-        run(make_problem("f1", 4), make_params(), seed=0, boundary="reflect")
+        make_problem("f1", 4, boundary="reflect")
 
 
 def test_run_success_bookkeeping_matches_threshold():

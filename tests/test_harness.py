@@ -90,6 +90,10 @@ def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f99\ndimensions = 5\n")
     assert err.value.code == "invalid_value"
+    # A repeated id would run its jobs twice and write its summary row twice.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("functions = f1,f7,f1\ndimensions = 5\n")
+    assert err.value.code == "invalid_value"
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f1\ndimensions = 5\nruns = four\n")
     assert err.value.code == "invalid_value"
@@ -308,6 +312,14 @@ def test_sweep_marks_best_value(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_values_written_exactly(tmp_path):
+    config = tiny_config(tmp_path, functions=("f1",), max_evals=100, runs=2)
+    sweep(config, "sigma", [0.5, 0.1234567, 2.0])
+    with open(os.path.join(config.output_dir, "sweep_sigma.csv")) as fh:
+        values = [line.split(",")[1] for line in fh.read().splitlines()[1:]]
+    assert values == ["0.5", "0.1234567", "2"]
+
+
 def test_sweep_rejects_invalid_values_before_running(tmp_path):
     config = tiny_config(tmp_path)
     with pytest.raises(ConfigError):
@@ -380,6 +392,9 @@ def test_trace_requires_ans_and_gens(tmp_path):
         trace(config, gens=[])
     with pytest.raises(ConfigError):
         trace(config, gens=None)  # no snapshot_gens configured either
+    with pytest.raises(ConfigError) as err:
+        trace(config, gens=[-1, 0])
+    assert err.value.code == "invalid_value"
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +494,35 @@ def test_compare_report_golden_digest(tmp_path):
     assert tree_sha256(tmp_path / "cmp") == GOLDEN_COMPARE_SHA256
 
 
+# Pins the run_batch report trees (results, history, summaries, rotation
+# files) of ans, pso and de on the paths the compare digest does not reach:
+# no box clamp, frozen superiors, a generation cap (with runs that reach the
+# success threshold on f5), a budget that ends during initialization and one
+# that ends mid-sweep.  Same provenance and update
+# rule as GOLDEN_COMPARE_SHA256.
+GOLDEN_BATCH_SHA256 = "b44cae78c28daabcc6017b2370c1c915d6b9f68c6f5bef8655f08df8f125db3b"
+GOLDEN_BATCH_CASES = [
+    ("ans", dict(boundary_policy="none", frozen_superiors=True, max_evals=107)),
+    ("ans", dict(max_evals=7)),
+    ("ans", dict(max_generations=30, max_evals=5000)),
+    ("pso", dict(boundary_policy="none", max_evals=107)),
+    ("pso", dict(max_evals=7)),
+    ("pso", dict(max_generations=25, max_evals=5000)),
+    ("de", dict(boundary_policy="none", de_pop_size=20, max_evals=107)),
+    ("de", dict(max_evals=7)),
+    ("de", dict(max_generations=30, max_evals=5000, de_pop_size=20)),
+]
+
+
+def test_batch_report_golden_digest(tmp_path):
+    base = parse_config_text("functions = f1,f5,f7,f8,f13\ndimensions = 3\nruns = 2\n"
+                             "master_seed = 77\nwrite_history = true\n")
+    for k, (alg, overrides) in enumerate(GOLDEN_BATCH_CASES):
+        config = validate_config(replace(base, algorithm=alg, **overrides))
+        run_batch(config, output_dir=str(tmp_path / "batch" / f"{k}_{alg}"))
+    assert tree_sha256(tmp_path / "batch") == GOLDEN_BATCH_SHA256
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -491,11 +535,27 @@ def test_cli_run_and_stats(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path / "cli_out")]) == 0
 
 
+def test_cli_stats_prints_functions_in_number_order(tmp_path, capsys):
+    out = tmp_path / "order_out"
+    path = write_config(tmp_path, TINY.format(out=out).replace("f1,f5", "f10,f1,f2"))
+    assert cli.main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", str(out)]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == ["f1", "f2", "f10"]
+
+
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
     bad = write_config(tmp_path, "functions = f1\ndimensions = 5\nbogus = 1\n", "bad.cfg")
     assert cli.main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    trace_cfg = write_config(tmp_path, "functions = f7\ndimensions = 2\nruns = 1\n"
+                                       f"max_evals = 60\noutput_dir = {tmp_path / 't'}\n",
+                             "tr.cfg")
+    assert cli.main(["trace", str(trace_cfg), "--gens=-1,0"]) == 2
+    assert "invalid_value" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_cli_exit_code_on_run_failure(tmp_path, monkeypatch, capsys):

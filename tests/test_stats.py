@@ -140,6 +140,10 @@ def test_rank_sum_matches_oracle_on_random_tied_cases():
         a = rng.integers(0, 5, n1).astype(float).tolist()
         b = rng.integers(0, 5, n2).astype(float).tolist()
         assert rank_sum_p_value(a, b) == oracle_rank_sum_p(a, b), (a, b)
+    # One case at the largest exact size, 10 + 10 pooled.
+    a = rng.integers(0, 5, 10).astype(float).tolist()
+    b = rng.integers(0, 5, 10).astype(float).tolist()
+    assert rank_sum_p_value(a, b) == oracle_rank_sum_p(a, b), (a, b)
 
 
 @given(st.lists(st.integers(0, 6), min_size=2, max_size=7),
