@@ -6,8 +6,8 @@ from .core import ObjectiveProblem, RngStream, SearchBounds, init_position
 from .benchmarks import (BenchmarkSpec, RotationMatrix, load_rotation_matrix, make_problem,
                          make_rotation_matrix, optimum_point, save_rotation_matrix,
                          default_suite)
-from .engine import (AnsParams, PopulationState, RunResult, SUCCESS_THRESHOLD, run,
-                     select_across_dimensions, select_peer_superior, step, update_position)
+from .engine import (AnsParams, PopulationState, RunBatch, RunResult, SUCCESS_THRESHOLD, run,
+                     step, update_position)
 from .baselines import DeParams, PsoParams, de_run, de_step, pso_run, pso_step
 from .stats import (FunctionSummary, PairwiseVerdict, finner_adjust, rank_algorithms,
                     summarize, wilcoxon_rank_sum, wilcoxon_signed_rank)

@@ -6,6 +6,7 @@ Everything stochastic in this package draws from an explicitly seeded
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -42,7 +43,7 @@ class SearchBounds:
     def clip(self, x: np.ndarray) -> np.ndarray:
         """``x`` under the boundary policy."""
         if self.boundary == "clamp":
-            return np.clip(x, self.lo, self.hi)
+            return x.clip(self.lo, self.hi)   # np.clip, without its dispatch cost
         return x
 
 
@@ -89,15 +90,17 @@ ROTATED_IDS = frozenset({"f13", "f14", "f15", "f16", "f17", "f18"})
 
 @dataclass
 class ObjectiveProblem:
-    """One benchmark instance owned by a single run.
+    """One benchmark instance, shared by the runs advanced together.
 
-    Counts every evaluation; ``rotation`` is mandatory for the rotated
-    function ids f13..f18 and forbidden otherwise.
+    Evaluation is row-wise: ``x`` is (..., D), one point per row, and each
+    row of a noisy function draws its noise from its own stream in
+    ``rngs``.  Counts every point evaluated; ``rotation`` is mandatory for
+    the rotated function ids f13..f18 and forbidden otherwise.
     """
 
     function_id: str
     bounds: SearchBounds
-    evaluator: Callable[[np.ndarray, Optional[RngStream]], float]
+    evaluator: Callable[[np.ndarray, Optional[Sequence[RngStream]]], np.ndarray]
     rotation: Optional[np.ndarray] = None
     eval_count: int = field(default=0)
 
@@ -112,8 +115,9 @@ class ObjectiveProblem:
             if err > 1e-10:
                 raise ValueError(f"rotation matrix is not orthogonal (max |M^T M - I| = {err:.3e})")
 
-    def evaluate(self, x: np.ndarray, rng: Optional[RngStream] = None) -> float:
-        if len(x) != self.bounds.dim:
-            raise ValueError(f"point has length {len(x)}, problem expects {self.bounds.dim}")
-        self.eval_count += 1
-        return self.evaluator(x, rng)
+    def evaluate(self, x: np.ndarray,
+                 rngs: Optional[Sequence[RngStream]] = None) -> np.ndarray:
+        if x.shape[-1] != self.bounds.dim:
+            raise ValueError(f"point has length {x.shape[-1]}, problem expects {self.bounds.dim}")
+        self.eval_count += math.prod(x.shape[:-1])
+        return self.evaluator(x, rngs)

@@ -8,6 +8,12 @@ position.  On a randomly chosen subset of dimensions (the across-search
 degree) the individual borrows a random peer's superior instead of its own,
 mixing good components from several memories at once.
 
+The R runs of one call advance in lockstep: every state array carries a
+leading run axis, ``(R, m, D)``, and the only Python loops are over the m
+individuals and, for their draws, over the R streams.  Each run draws from
+its own :class:`RngStream` the same values in the same order as it would
+alone, so no result depends on which runs share a call.
+
 The run bookkeeping (:class:`RunState`), the population initializer and
 the run loop are shared with the PSO and DE baselines.
 """
@@ -22,8 +28,6 @@ import numpy as np
 from .core import RngStream, SearchBounds, ObjectiveProblem, init_position
 
 SUCCESS_THRESHOLD = 1e-5
-
-_EMPTY_DIMS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -48,57 +52,72 @@ class AnsParams:
             raise ValueError("population_size must be >= 1")
         if self.across_degree < 0:
             raise ValueError("across_degree must be >= 0")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        if self.max_generations is not None and self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1 when given")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and > 0")
+        _check_budget(self)
+
+
+def _check_budget(params) -> None:
+    """The budget fields the ANS, PSO and DE params share."""
+    if params.max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
+    if params.max_generations is not None and params.max_generations < 1:
+        raise ValueError("max_generations must be >= 1 when given")
 
 
 @dataclass(kw_only=True)
 class RunState:
-    """Run bookkeeping shared by the ANS, PSO and DE states.
+    """Run bookkeeping shared by the ANS, PSO and DE states, one row per run.
 
-    :meth:`evaluate` is the one place an optimizer evaluates a point, so
+    :meth:`evaluate` is the one place an optimizer evaluates points, so
     evaluation counting, the first-success record and the best-so-far follow
-    one rule for all three algorithms.
+    one rule for all three algorithms.  The runs share population size,
+    budget and generation cap, so ``generation`` and ``evals_used`` are
+    common to all of them.
     """
 
-    best: Optional[np.ndarray] = None
-    best_fitness: float = np.inf
+    best_fitness: np.ndarray                        # (R,)
+    best: Optional[np.ndarray] = None               # (R, D); None before any evaluation
+    evals_to_success: Optional[np.ndarray] = None   # (R,); 0 until the run succeeds
     generation: int = 0
     evals_used: int = 0
-    evals_to_success: Optional[int] = None
 
-    def evaluate(self, problem: ObjectiveProblem, x: np.ndarray, rng: RngStream) -> float:
-        """Evaluate ``x``, count it, note the first fitness below
-        SUCCESS_THRESHOLD and adopt ``x`` as best on strict improvement (the
-        first evaluation of a run always becomes the best)."""
-        fit = problem.evaluate(x, rng)
+    def __post_init__(self):
+        if self.evals_to_success is None:
+            self.evals_to_success = np.zeros(len(self.best_fitness), dtype=np.int64)
+
+    def evaluate(self, problem: ObjectiveProblem, x: np.ndarray,
+                 rngs: Sequence[RngStream]) -> np.ndarray:
+        """Evaluate row r of ``x`` for run r, count one evaluation, note each
+        run's first fitness below SUCCESS_THRESHOLD and adopt a row as its
+        run's best on strict improvement (the first evaluation of a run
+        always becomes the best)."""
+        fit = problem.evaluate(x, rngs)
         self.evals_used += 1
-        if self.evals_to_success is None and fit < SUCCESS_THRESHOLD:
-            self.evals_to_success = self.evals_used
-        if fit < self.best_fitness or self.best is None:
-            self.best = x.copy()
-            self.best_fitness = fit
+        np.copyto(self.evals_to_success, self.evals_used,
+                  where=(fit < SUCCESS_THRESHOLD) & (self.evals_to_success == 0))
+        if self.best is None:
+            self.best, self.best_fitness = x.copy(), fit.copy()
+        else:
+            better = fit < self.best_fitness
+            np.copyto(self.best, x, where=better[:, None])
+            np.copyto(self.best_fitness, fit, where=better)
         return fit
 
 
 @dataclass
 class PopulationState(RunState):
-    """Population arrays; row i of ``superiors`` is individual i's memory."""
+    """Population arrays; ``superiors[r, i]`` is individual i's memory in run r."""
 
-    positions: np.ndarray          # (m, D)
-    position_fitness: np.ndarray   # (m,)
-    superiors: np.ndarray          # (m, D)
-    superior_fitness: np.ndarray   # (m,)
+    positions: np.ndarray          # (R, m, D)
+    superiors: np.ndarray          # (R, m, D)
+    superior_fitness: np.ndarray   # (R, m)
 
     @classmethod
     def from_population(cls, positions: np.ndarray, fitness: np.ndarray,
                         **run) -> "PopulationState":
         """Superiors start as copies of the initial positions."""
-        return cls(positions, fitness, positions.copy(), fitness.copy(), **run)
+        return cls(positions, positions.copy(), fitness, **run)
 
 
 @dataclass
@@ -112,61 +131,65 @@ class RunResult:
     generations: int
 
 
-def select_across_dimensions(rng: RngStream, dim: int, degree: int) -> np.ndarray:
-    """Distinct dimension indices, uniform without replacement."""
-    if not 0 <= degree <= dim:
-        raise ValueError(f"across-search degree {degree} outside [0, {dim}]")
-    if degree == 0:
-        return _EMPTY_DIMS
-    if degree == 1:
-        return np.array([rng.integer(dim)], dtype=np.intp)
-    return rng.permutation(dim)[:degree]
+@dataclass
+class RunBatch:
+    """The runs of one lockstep call, in the order of their seeds."""
+
+    runs: List[RunResult]
+
+    @property
+    def evals_used(self) -> int:
+        """Evaluations used by all the runs together."""
+        return sum(result.evals_used for result in self.runs)
 
 
-def select_peer_superior(rng: RngStream, count: int, self_index: int) -> int:
-    """Uniform index into the superior pool, excluding the caller's own."""
-    if count < 2:
-        raise ValueError("peer selection needs at least 2 superiors")
-    j = rng.integer(count - 1)
-    return j + 1 if j >= self_index else j
+def update_position(positions: np.ndarray, superiors: np.ndarray, self_index: int,
+                    params: AnsParams, rngs: Sequence[RngStream],
+                    bounds: SearchBounds) -> np.ndarray:
+    """Individual ``self_index``'s next position in every run, under the
+    boundary policy of ``bounds``.
 
+    ``positions`` (R, D) is the individual's current position and
+    ``superiors`` (R, m, D) the superior pool, per run.  Per-dimension rule:
+    new value = s_d + G(0, sigma^2) * |s_d - current_d| where s_d is the
+    individual's own superior except on the across-search dimensions, which
+    each read an independently chosen peer superior.
 
-def _peer_indices(rng: RngStream, count: int, self_index: int, k: int) -> np.ndarray:
-    # One independent peer per selected dimension.
-    if k == 1:
-        return np.array([select_peer_superior(rng, count, self_index)], dtype=np.intp)
-    if count < 2:
-        raise ValueError("peer selection needs at least 2 superiors")
-    idx = rng.integers(count - 1, size=k)
-    idx[idx >= self_index] += 1
-    return idx
-
-
-def update_position(position: np.ndarray, superiors: np.ndarray, self_index: int,
-                    params: AnsParams, rng: RngStream, bounds: SearchBounds) -> np.ndarray:
-    """One position update, under the boundary policy of ``bounds``.
-
-    Per-dimension rule: new value = s_d + G(0, sigma^2) * |s_d - current_d|
-    where s_d is the individual's own superior except on the across-search
-    dimensions, which each read an independently chosen peer superior.
-
-    Draw order (fixed for reproducibility): dimension subset, then one peer
-    index per selected dimension, then one standard Gaussian per dimension.
+    Draw order per run (fixed for reproducibility): the across-search
+    dimensions, distinct and uniform; then one peer per selected dimension,
+    uniform over the other superiors; then one standard Gaussian per
+    dimension.
     """
-    dim = position.shape[0]
-    base = superiors[self_index].copy()
-    if params.across_degree:
-        dims = select_across_dimensions(rng, dim, params.across_degree)
-        peers = _peer_indices(rng, superiors.shape[0], self_index, dims.shape[0])
-        base[dims] = superiors[peers, dims]
-    gauss = rng.standard_gaussian(dim)
-    return bounds.clip(base + (params.sigma * gauss) * np.abs(base - position))
+    runs, dim = positions.shape
+    base = superiors[:, self_index].copy()
+    degree = params.across_degree
+    if degree:
+        count = superiors.shape[1]
+        if count < 2:
+            raise ValueError("peer selection needs at least 2 superiors")
+        if degree == 1:
+            # Scalar draws, read straight into the row: cheaper than a
+            # gather at the run counts a batch has.
+            for r, rng in enumerate(rngs):
+                d = rng.integer(dim)
+                j = rng.integer(count - 1)
+                base[r, d] = superiors[r, j + (j >= self_index), d]
+        else:
+            picks = [(rng.permutation(dim)[:degree], rng.integers(count - 1, size=degree))
+                     for rng in rngs]
+            dims, peers = (np.array(column) for column in zip(*picks))
+            peers += peers >= self_index   # skip the individual's own superior
+            rows = np.arange(runs)[:, None]
+            base[rows, dims] = superiors[rows, peers, dims]
+    gauss = np.array([rng.standard_gaussian(dim) for rng in rngs])
+    return bounds.clip(base + (params.sigma * gauss) * np.abs(base - positions))
 
 
 def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
-         rng: RngStream) -> PopulationState:
-    """One generation: every individual moves, is evaluated, and may refresh
-    its superior (the global best is kept by :meth:`RunState.evaluate`).
+         rngs: Sequence[RngStream]) -> PopulationState:
+    """One generation of every run: each individual moves, is evaluated, and
+    may refresh its superior (the global best is kept by
+    :meth:`RunState.evaluate`).
 
     Individuals are processed in index order and read the superior pool
     live, so updates earlier in the sweep are visible to later individuals
@@ -176,23 +199,20 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
     superiors = state.superiors
     sup_fitness = state.superior_fitness
     positions = state.positions
-    pos_fitness = state.position_fitness
     bounds = problem.bounds
-    max_evals = params.max_evals
     peer_pool = superiors.copy() if params.frozen_superiors else superiors
 
     for i in range(params.population_size):
-        if state.evals_used >= max_evals:
+        if state.evals_used >= params.max_evals:
             break
-        new_pos = update_position(positions[i], peer_pool, i, params, rng, bounds)
-        fit = state.evaluate(problem, new_pos, rng)
-        positions[i] = new_pos
-        pos_fitness[i] = fit
+        new_pos = update_position(positions[:, i], peer_pool, i, params, rngs, bounds)
+        fit = state.evaluate(problem, new_pos, rngs)
+        positions[:, i] = new_pos
         # Strict improvement only: ties keep the incumbent superior, so
         # plateaus cause no memory churn.
-        if fit < sup_fitness[i]:
-            superiors[i] = new_pos
-            sup_fitness[i] = fit
+        better = fit < sup_fitness[:, i]
+        np.copyto(superiors[:, i], new_pos, where=better[:, None])
+        np.copyto(sup_fitness[:, i], fit, where=better)
     state.generation += 1
     return state
 
@@ -202,64 +222,73 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
 # ---------------------------------------------------------------------------
 
 def init_population(problem: ObjectiveProblem, new_state: Callable, size: int, max_evals: int,
-                    rng: RngStream):
-    """Draw and evaluate an initial population of ``size`` uniform points.
+                    rngs: Sequence[RngStream]):
+    """Draw and evaluate an initial population of ``size`` uniform points
+    per run.
 
     Every point is drawn, even past the budget, so the stream does not
     depend on it; evaluation stops once ``max_evals`` is used and the rows
     left unevaluated keep +inf fitness.  ``new_state(positions, fitness,
-    **run)`` wraps the arrays in the optimizer's state, carrying over the
-    :class:`RunState` bookkeeping of the evaluations made here.
+    **run)`` wraps the (R, size, D) and (R, size) arrays in the optimizer's
+    state, carrying over the :class:`RunState` bookkeeping of the
+    evaluations made here.
     """
-    positions = np.empty((size, problem.bounds.dim))
-    fitness = np.full(size, np.inf)
-    run = RunState()
+    positions = np.empty((len(rngs), size, problem.bounds.dim))
+    fitness = np.full((len(rngs), size), np.inf)
+    run = RunState(best_fitness=np.full(len(rngs), np.inf))
     for i in range(size):
-        positions[i] = init_position(rng, problem.bounds)
+        for r, rng in enumerate(rngs):
+            positions[r, i] = init_position(rng, problem.bounds)
         if run.evals_used < max_evals:
-            fitness[i] = run.evaluate(problem, positions[i], rng)
+            fitness[:, i] = run.evaluate(problem, positions[:, i], rngs)
     return new_state(positions, fitness, **vars(run))
 
 
-def run_loop(problem: ObjectiveProblem, params, seed: Union[int, Sequence[int]],
+def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Sequence[int]]],
              size: int, new_state: Callable, step_fn: Callable,
-             on_generation: Optional[Callable] = None) -> RunResult:
-    """Initialize, then step until whichever budget hits first
-    (``params.max_evals`` is always enforced; ``params.max_generations``
-    counts update sweeps after initialization when given).
+             on_generation: Optional[Callable] = None) -> RunBatch:
+    """One run per seed, advanced together: initialize, then step until
+    whichever budget hits first (``params.max_evals`` is always enforced;
+    ``params.max_generations`` counts update sweeps after initialization
+    when given).  The runs share both budgets, so they stop together.
 
-    ``step_fn(state, problem, params, rng)`` advances one generation.
+    ``step_fn(state, problem, params, rngs)`` advances one generation.
     ``on_generation(state)``, when given, sees the state after
     initialization (generation 0) and after every step.
     """
-    rng = RngStream(seed)
-    state = init_population(problem, new_state, size, params.max_evals, rng)
-    history: List[Tuple[int, float]] = [(state.evals_used, state.best_fitness)]
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    rngs = [RngStream(seed) for seed in seeds]
+    state = init_population(problem, new_state, size, params.max_evals, rngs)
+    history = [(state.evals_used, state.best_fitness.tolist())]
     if on_generation is not None:
         on_generation(state)
     while state.evals_used < params.max_evals and (
             params.max_generations is None or state.generation < params.max_generations):
-        step_fn(state, problem, params, rng)
-        history.append((state.evals_used, state.best_fitness))
+        step_fn(state, problem, params, rngs)
+        history.append((state.evals_used, state.best_fitness.tolist()))
         if on_generation is not None:
             on_generation(state)
 
-    return RunResult(
-        best_fitness=state.best_fitness,
-        best_position=state.best.copy(),
-        evals_to_success=state.evals_to_success,
-        history=history,
-        seed=seed,
-        evals_used=state.evals_used,
-        generations=state.generation,
-    )
+    finals = state.best_fitness.tolist()
+    return RunBatch([
+        RunResult(
+            best_fitness=finals[r],
+            best_position=state.best[r].copy(),
+            evals_to_success=int(state.evals_to_success[r]) or None,
+            history=[(evals, fits[r]) for evals, fits in history],
+            seed=seed,
+            evals_used=state.evals_used,
+            generations=state.generation,
+        ) for r, seed in enumerate(seeds)])
 
 
-def run(problem: ObjectiveProblem, params: AnsParams, seed: Union[int, Sequence[int]],
-        on_generation: Optional[Callable[[PopulationState], None]] = None) -> RunResult:
-    """Full across-neighbourhood search run (see :func:`run_loop`)."""
+def run(problem: ObjectiveProblem, params: AnsParams,
+        seeds: Sequence[Union[int, Sequence[int]]],
+        on_generation: Optional[Callable[[PopulationState], None]] = None) -> RunBatch:
+    """Across-neighbourhood search, one run per seed (see :func:`run_loop`)."""
     if params.across_degree > problem.bounds.dim:
         raise ValueError(f"across_degree {params.across_degree} exceeds dimensionality "
                          f"{problem.bounds.dim}")
-    return run_loop(problem, params, seed, params.population_size,
+    return run_loop(problem, params, seeds, params.population_size,
                     PopulationState.from_population, step, on_generation)

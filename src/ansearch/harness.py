@@ -2,9 +2,10 @@
 parameter sweeps, convergence traces and comparison reports.
 
 Every run's seed is a pure function of (master_seed, algorithm, function,
-run_index), so batches are bit-reproducible regardless of worker count or
-scheduling order.  All report files are written with fixed ordering and
-explicit float formatting for byte-stable output.
+run_index), so batches are bit-reproducible regardless of worker count, of
+how runs are chunked into jobs, and of scheduling order.  All report files
+are written with fixed ordering and explicit float formatting for
+byte-stable output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import benchmarks, stats
 from .baselines import DeParams, PsoParams, de_run, pso_run
 from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation_matrix
 from .core import BOUNDARY_POLICIES, ObjectiveProblem
-from .engine import AnsParams, RunResult, run as ans_run
+from .engine import AnsParams, RunBatch, RunResult, run as ans_run
 
 ALGORITHMS = ("ans", "pso", "de")
 _ALG_CODES = {"ans": 1, "pso": 2, "de": 3}
@@ -161,6 +162,8 @@ def _parse_degree_map(key, text):
         fid = fid.strip()
         if fid not in SPECS:
             raise ConfigError("invalid_value", f"{key}: unknown function id {fid!r}")
+        if fid in mapping:
+            raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
         mapping[fid] = _parse_int(key, val.strip())
     return mapping
 
@@ -297,11 +300,13 @@ def _rotation_seed(config: ExperimentConfig, function_id: str) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Job:
+    """A contiguous chunk of one function's runs, advanced together."""
+
     algorithm: str
     function_id: str
     dimensions: int
-    run_index: int
-    seed: int
+    run_indices: Tuple[int, ...]
+    seeds: Tuple[int, ...]
     params: Union[AnsParams, PsoParams, DeParams]
     boundary: str
     rotation_seed: Optional[int]
@@ -314,31 +319,38 @@ class Job:
                                        boundary=self.boundary)
 
 
-def execute_job(job: Job) -> RunResult:
+def execute_job(job: Job) -> RunBatch:
     # Looked up per call, so the module-level run names can be wrapped.
     run_fn = {"ans": ans_run, "pso": pso_run, "de": de_run}[job.algorithm]
-    return run_fn(job.problem(), job.params, job.seed)
+    return run_fn(job.problem(), job.params, job.seeds)
 
 
 def _safe_execute(job: Job):
+    """(function, run_index, result, error) per run of the job; a failure
+    fails every run of its chunk."""
     try:
-        return (job.function_id, job.run_index, execute_job(job), None)
+        results, err = execute_job(job).runs, None
     except Exception as exc:  # recorded, batch continues
-        return (job.function_id, job.run_index, None, f"{type(exc).__name__}: {exc}")
+        results, err = [None] * len(job.run_indices), f"{type(exc).__name__}: {exc}"
+    return [(job.function_id, idx, res, err) for idx, res in zip(job.run_indices, results)]
 
 
-def _make_jobs(config: ExperimentConfig) -> List[Job]:
+def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
+    """One job per function and contiguous chunk of its runs.  Every run
+    keeps its own seed, so the chunking changes no result."""
     jobs = []
     for fid in config.functions:
         rotation_seed = _rotation_seed(config, fid)
         params = config.params_for(fid)
-        for run_index in range(config.runs):
+        for part in np.array_split(np.arange(config.runs), min(chunks, config.runs)):
+            indices = tuple(int(idx) for idx in part)
             jobs.append(Job(
                 algorithm=config.algorithm,
                 function_id=fid,
                 dimensions=config.dimensions,
-                run_index=run_index,
-                seed=derive_run_seed(config.master_seed, config.algorithm, fid, run_index),
+                run_indices=indices,
+                seeds=tuple(derive_run_seed(config.master_seed, config.algorithm, fid, idx)
+                            for idx in indices),
                 params=params,
                 boundary=config.boundary_policy,
                 rotation_seed=rotation_seed,
@@ -347,13 +359,18 @@ def _make_jobs(config: ExperimentConfig) -> List[Job]:
     return jobs
 
 
-def _run_jobs(jobs: List[Job], workers: int):
-    # More workers than cores or jobs would only add idle processes.
-    workers = min(workers, os.cpu_count() or 1, len(jobs))
+def _run_jobs(config: ExperimentConfig, workers: int):
+    # More workers than cores or jobs would only add idle processes; each
+    # worker gets one chunk of every function's runs.
+    workers = min(workers, os.cpu_count() or 1)
+    jobs = _make_jobs(config, max(workers, 1))
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_safe_execute(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_safe_execute, jobs))
+        chunks = [_safe_execute(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_safe_execute, jobs))
+    return [outcome for chunk in chunks for outcome in chunk]
 
 
 @dataclass
@@ -368,12 +385,13 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
               output_dir: Optional[str] = None, write_files: bool = True) -> BatchResult:
     """Execute runs x functions, summarize, and write report files.
 
-    Output is deterministic for a fixed config + master_seed: jobs carry
-    derived seeds and results are re-sorted by (function, run_index) before
-    aggregation, so the worker count never changes any byte of output.
+    Output is deterministic for a fixed config + master_seed: every run
+    carries its derived seed and results are re-sorted by (function,
+    run_index) before aggregation, so neither the worker count nor the
+    chunking of runs into jobs changes any byte of output.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
-    outcomes = _run_jobs(_make_jobs(config), workers)
+    outcomes = _run_jobs(config, workers)
     by_key = {(fid, idx): (res, err) for fid, idx, res, err in outcomes}
 
     results: Dict[str, List[Optional[RunResult]]] = {}
@@ -562,11 +580,11 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
 
     def capture(state) -> None:
         if state.generation in wanted:
-            snapshots.append(Snapshot(state.generation, state.positions.copy(),
-                                      state.superiors.copy()))
+            snapshots.append(Snapshot(state.generation, state.positions[0].copy(),
+                                      state.superiors[0].copy()))
 
     job = _make_jobs(replace(config, runs=1))[0]
-    result = ans_run(job.problem(), job.params, job.seed, on_generation=capture)
+    result = ans_run(job.problem(), job.params, job.seeds, on_generation=capture).runs[0]
 
     captured = {snap.generation for snap in snapshots}
     warnings = [f"snapshot generation {g} is beyond termination "

@@ -33,12 +33,9 @@ def ans_runs(function_id, dim, degree, runs, max_evals, population=20, sigma=0.5
                        max_evals=max_evals, max_generations=max_generations)
     rotation_seed = (derive_rotation_seed(MASTER, function_id)
                      if benchmarks.SPECS[function_id].is_rotated else None)
-    results = []
-    for index in range(runs):
-        problem = benchmarks.make_problem(function_id, dim, rotation_seed=rotation_seed)
-        seed = derive_run_seed(MASTER, "ans", function_id, index)
-        results.append(run(problem, params, seed))
-    return results
+    problem = benchmarks.make_problem(function_id, dim, rotation_seed=rotation_seed)
+    seeds = [derive_run_seed(MASTER, "ans", function_id, index) for index in range(runs)]
+    return run(problem, params, seeds).runs
 
 
 def test_criterion_01_rastrigin_2d_convergence():

@@ -116,11 +116,14 @@ def test_noise_quadric_bounds_and_determinism():
     base = noise_quadric(x)
     rng = RngStream(11)
     for _ in range(200):
-        noisy = noise_quadric(x, rng)
+        noisy = noise_quadric(x[None], [rng])[0]
         assert 0.0 <= noisy - base < 1.0
-    a = noise_quadric(x, RngStream(4))
-    b = noise_quadric(x, RngStream(4))
+    a = noise_quadric(x[None], [RngStream(4)])
+    b = noise_quadric(x[None], [RngStream(4)])
     assert a == b
+    # Each row draws its noise from its own stream.
+    rows = noise_quadric(np.stack([x, x]), [RngStream(4), RngStream(5)])
+    assert rows[0] == a[0] and rows[1] == noise_quadric(x[None], [RngStream(5)])[0]
 
 
 def test_non_negative_functions_on_random_points():
@@ -190,3 +193,23 @@ def test_f8_range_default_and_override():
     assert make_problem("f8", 5).bounds.lo == -600.0
     narrow = make_problem("f8", 5, f8_narrow_range=True)
     assert (narrow.bounds.lo, narrow.bounds.hi) == (-5.12, 5.12)
+
+
+def test_row_wise_evaluation_matches_single_rows():
+    # A batch of rows gives, row by row, the bits of evaluating each row
+    # alone (f6: each row's noise from its own stream), also for the strided
+    # rows a population slice is; D = 30 puts the sums, and the f11/f12
+    # penalty, past the 8-term unrolled block of numpy's pairwise summation.
+    rng = np.random.default_rng(23)
+    for fid in FUNCTION_IDS:
+        for dim in (10, 30):
+            problem = build(fid, dim)
+            lo, hi = problem.bounds.lo, problem.bounds.hi
+            rows = rng.uniform(lo, hi, (4, 3, dim))[:, 1]
+            rows[1] *= 0.1   # f11/f12: a row with fewer coordinates outside the dead zone
+            together = problem.evaluate(rows, [RngStream(s) for s in range(4)])
+            alone = [problem.evaluate(rows[r].copy()[None], [RngStream(r)])[0] for r in range(4)]
+            assert together.shape == (4,)
+            np.testing.assert_array_equal(together, alone, err_msg=f"{fid} D={dim}")
+            if fid != "f6":
+                np.testing.assert_array_equal(together, [problem.evaluate(row) for row in rows])

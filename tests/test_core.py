@@ -50,8 +50,8 @@ def ans_clamp(point, bounds):
     # A zero Gaussian and a single individual put the update exactly on the
     # individual's superior, so the result is that point after the box clamp.
     params = AnsParams(population_size=1, across_degree=0, max_evals=1)
-    return update_position(np.zeros(bounds.dim), point[None, :], 0, params,
-                           ScriptedRng(gaussian_value=0.0), bounds)
+    return update_position(np.zeros((1, bounds.dim)), point[None, None, :], 0, params,
+                           [ScriptedRng(gaussian_value=0.0)], bounds)[0]
 
 
 def bounds_clip(point, bounds):

@@ -110,6 +110,20 @@ def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f1\ndimensions = 5\nsuperior_count = 20\n")
     assert err.value.code == "unknown_key"
+    # Values the params used to accept: a generation cap of 0 stopped pso and
+    # de runs after initialization, a negative v_max pinned every velocity
+    # to -v_max, a NaN weight gave NaN trials, an infinite sigma gave
+    # inf * 0 = NaN positions, and a repeated n_per_function id kept only
+    # its last entry.
+    for extra in ("algorithm = pso\nmax_generations = 0\n",
+                  "algorithm = de\nmax_generations = 0\n",
+                  "algorithm = pso\nv_max = -1\n",
+                  "algorithm = de\nde_weight = nan\n",
+                  "sigma = inf\n",
+                  "n_per_function = f1:1,f1:2\n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("functions = f1\ndimensions = 5\n" + extra)
+        assert err.value.code == "invalid_value", extra
 
 
 def test_config_comments_and_blank_lines():
@@ -168,6 +182,50 @@ def test_run_batch_deterministic_across_workers_and_invocations(tmp_path):
     run_batch(config, workers=1, output_dir=str(tmp_path / "c"))
     a, b, c = read_tree(tmp_path / "a"), read_tree(tmp_path / "b"), read_tree(tmp_path / "c")
     assert a == b == c and a
+
+
+# Lockstep runs: every run keeps its own stream, so a run's result must not
+# depend on which runs share its call, nor on how runs are split over workers.
+LOCKSTEP_CASES = [
+    ("ans", dict(frozen_superiors=True, boundary_policy="none", max_evals=107)),
+    ("ans", dict(max_generations=120, max_evals=5000, n_per_function={"f13": 3})),
+    ("pso", dict(boundary_policy="none", max_evals=107)),
+    ("pso", dict(max_generations=300, max_evals=5000, swarm_size=12)),
+    ("de", dict(boundary_policy="none", de_pop_size=12, max_evals=107)),
+    ("de", dict(max_generations=350, max_evals=5000, de_pop_size=12)),
+]
+
+
+def lockstep_config(alg, overrides):
+    base = parse_config_text("functions = f6,f13\ndimensions = 3\nruns = 4\nmaster_seed = 8\n"
+                             "write_history = true\n")
+    return validate_config(replace(base, algorithm=alg, **overrides))
+
+
+@pytest.mark.parametrize("alg,overrides", LOCKSTEP_CASES)
+def test_lockstep_batch_matches_one_run_batches(alg, overrides):
+    successes = 0
+    for job in harness._make_jobs(lockstep_config(alg, overrides)):
+        together = harness.execute_job(job).runs
+        assert len(together) == 4
+        for idx, seed, result in zip(job.run_indices, job.seeds, together):
+            alone = harness.execute_job(replace(job, run_indices=(idx,), seeds=(seed,))).runs[0]
+            assert result.best_fitness == alone.best_fitness
+            np.testing.assert_array_equal(result.best_position, alone.best_position)
+            assert result.evals_to_success == alone.evals_to_success
+            assert result.history == alone.history
+            successes += result.evals_to_success is not None
+    if overrides.get("max_generations"):
+        assert successes  # the first-success record is exercised too
+
+
+@pytest.mark.parametrize("alg", ["pso", "de"])
+def test_run_batch_worker_count_invariant_for_baselines(tmp_path, alg):
+    config = lockstep_config(alg, dict(max_evals=250, de_pop_size=12, swarm_size=12))
+    run_batch(config, workers=1, output_dir=str(tmp_path / "w1"))
+    run_batch(config, workers=2, output_dir=str(tmp_path / "w2"))
+    one, two = read_tree(tmp_path / "w1"), read_tree(tmp_path / "w2")
+    assert one == two and len(one) == 12
 
 
 def test_run_batch_rotated_function_writes_matrix(tmp_path):
@@ -521,6 +579,31 @@ def test_batch_report_golden_digest(tmp_path):
         config = validate_config(replace(base, algorithm=alg, **overrides))
         run_batch(config, output_dir=str(tmp_path / "batch" / f"{k}_{alg}"))
     assert tree_sha256(tmp_path / "batch") == GOLDEN_BATCH_SHA256
+
+
+# Pins the run_batch report trees of ans, pso and de on all 18 functions at
+# D = 12 and D = 30, so every objective (and the f11/f12 boundary penalty)
+# is pinned at sizes above the 8-term unrolled block of numpy's pairwise
+# summation; the two digests above reach only f1, f5-f8 and f13 at D <= 4.
+# ans covers the permutation path of the dimension draw on f1 and f13.  Same
+# provenance and update rule as GOLDEN_COMPARE_SHA256.
+GOLDEN_ALL18_SHA256 = "27de9f45c48cab74c0aa10e109de7b11998ea086b58da595849923b80ca1780d"
+GOLDEN_ALL18_CASES = [
+    ("ans", dict(n_per_function={"f1": 5, "f13": 12})),
+    ("pso", dict()),
+    ("de", dict(de_pop_size=20)),
+]
+
+
+def test_all18_report_golden_digest(tmp_path):
+    base = parse_config_text("functions = " + ",".join(benchmarks.FUNCTION_IDS) +
+                             "\ndimensions = 12\nruns = 2\nmax_evals = 150\n"
+                             "master_seed = 2026\nwrite_history = true\n")
+    for dim in (12, 30):
+        for alg, overrides in GOLDEN_ALL18_CASES:
+            config = validate_config(replace(base, algorithm=alg, dimensions=dim, **overrides))
+            run_batch(config, output_dir=str(tmp_path / "all18" / f"D{dim}_{alg}"))
+    assert tree_sha256(tmp_path / "all18") == GOLDEN_ALL18_SHA256
 
 
 # ---------------------------------------------------------------------------
