@@ -1,9 +1,12 @@
 """Canonical comparison baselines: global-best PSO and DE/rand/1/bin.
 
-Both share the across-neighbourhood optimizer's lockstep run loop and
-bookkeeping (:class:`~ansearch.engine.RunState`: evaluation accounting,
-success threshold, best-so-far) and take the boundary policy from the
-problem's bounds, so comparisons are protocol-fair.  Default parameters are
+Both share the across-neighbourhood optimizer's state
+(:class:`~ansearch.engine.PopulationState`: a PSO personal best and a DE
+target vector are its ``superiors``), its generation sweep
+(:func:`~ansearch.engine.sweep`: evaluation accounting, success threshold,
+memory and best-so-far updates) and its run loop, and take the boundary
+policy from the problem's bounds, so comparisons are protocol-fair.  Each
+step only builds the point an individual tries.  Default parameters are
 community-standard canonical settings, not tuned variants.
 """
 
@@ -15,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream
-from .engine import RunBatch, RunState, _check_budget, run_loop
+from .engine import PopulationState, RunBatch, _check_budget, run_loop, sweep
 
 
 @dataclass(frozen=True)
@@ -57,26 +60,14 @@ class DeParams:
         _check_budget(self)
 
 
-@dataclass
-class SwarmState(RunState):
-    positions: np.ndarray       # (R, m, D)
-    velocities: np.ndarray      # (R, m, D)
-    pbest: np.ndarray           # (R, m, D)
-    pbest_fitness: np.ndarray   # (R, m)
+@dataclass(kw_only=True)
+class SwarmState(PopulationState):
+    velocities: Optional[np.ndarray] = None   # (R, m, D); None -> zeros
 
-    @classmethod
-    def from_population(cls, positions: np.ndarray, fitness: np.ndarray, **run) -> "SwarmState":
-        """Zero initial velocities; pbest starts as copies of the start points."""
-        return cls(positions, np.zeros_like(positions), positions.copy(), fitness.copy(), **run)
-
-
-@dataclass
-class DeState(RunState):
-    """The initial population is the state itself, so ``DeState(population,
-    fitness, **run)`` serves as the initializer's state constructor."""
-
-    population: np.ndarray   # (R, m, D)
-    fitness: np.ndarray      # (R, m)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.velocities is None:
+            self.velocities = np.zeros_like(self.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -86,33 +77,27 @@ class DeState(RunState):
 def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
              rngs: Sequence[RngStream]) -> SwarmState:
     """One generation of the inertia-weight velocity/position update in
-    every run.
+    every run (see :func:`~ansearch.engine.sweep`).
 
     v <- w v + c1 r1 (pbest - x) + c2 r2 (best - x) with fresh uniform
-    r1, r2 per dimension; pbest updates on strict improvement only.
+    r1, r2 per dimension; pbest is the individual's superior.
     """
     bounds = problem.bounds
     v_max = params.v_max if params.v_max is not None else 0.5 * bounds.width
-    for i in range(params.swarm_size):
-        if state.evals_used >= params.max_evals:
-            break
+
+    def propose(i: int) -> np.ndarray:
         x = state.positions[:, i]
         # Per run: all of r1, then all of r2.
         r1 = np.array([rng.uniform(0.0, 1.0, bounds.dim) for rng in rngs])
         r2 = np.array([rng.uniform(0.0, 1.0, bounds.dim) for rng in rngs])
         v = (params.inertia * state.velocities[:, i]
-             + params.c1 * r1 * (state.pbest[:, i] - x)
+             + params.c1 * r1 * (state.superiors[:, i] - x)
              + params.c2 * r2 * (state.best - x))
         v.clip(-v_max, v_max, out=v)
-        new_pos = bounds.clip(x + v)
-        fit = state.evaluate(problem, new_pos, rngs)
         state.velocities[:, i] = v
-        state.positions[:, i] = new_pos
-        better = fit < state.pbest_fitness[:, i]
-        np.copyto(state.pbest[:, i], new_pos, where=better[:, None])
-        np.copyto(state.pbest_fitness[:, i], fit, where=better)
-    state.generation += 1
-    return state
+        return bounds.clip(x + v)
+
+    return sweep(state, problem, params, rngs, propose)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +116,16 @@ def _three_distinct(rng: RngStream, pop_size: int, exclude: int) -> Tuple[int, i
     return picks[0], picks[1], picks[2]
 
 
-def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
-            rngs: Sequence[RngStream]) -> DeState:
-    """One generation of rand/1 mutation, binomial crossover with one forced
-    dimension, and greedy selection (strict improvement replaces the target)
-    in every run."""
-    pop = state.population
+def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
+            rngs: Sequence[RngStream]) -> PopulationState:
+    """One generation of rand/1 mutation and binomial crossover with one
+    forced dimension in every run; the sweep's strict-improvement memory
+    update is DE's greedy selection, the superiors its population."""
+    pop = state.superiors
     bounds = problem.bounds
     rows = np.arange(len(rngs))
-    for i in range(params.pop_size):
-        if state.evals_used >= params.max_evals:
-            break
+
+    def propose(i: int) -> np.ndarray:
         # Per run: the three indices, the crossover uniforms, the forced dimension.
         draws = [(_three_distinct(rng, params.pop_size, i), rng.uniform(0.0, 1.0, bounds.dim),
                   rng.integer(bounds.dim)) for rng in rngs]
@@ -150,13 +134,9 @@ def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
         donor = peers[:, 0] + params.weight * (peers[:, 1] - peers[:, 2])
         cross = np.array(uniforms) < params.crossover
         cross[rows, forced] = True
-        trial = bounds.clip(np.where(cross, donor, pop[:, i]))
-        fit = state.evaluate(problem, trial, rngs)
-        better = fit < state.fitness[:, i]
-        np.copyto(pop[:, i], trial, where=better[:, None])
-        np.copyto(state.fitness[:, i], fit, where=better)
-    state.generation += 1
-    return state
+        return bounds.clip(np.where(cross, donor, pop[:, i]))
+
+    return sweep(state, problem, params, rngs, propose)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +145,9 @@ def de_step(state: DeState, problem: ObjectiveProblem, params: DeParams,
 
 def pso_run(problem: ObjectiveProblem, params: PsoParams,
             seeds: Sequence[Union[int, Sequence[int]]]) -> RunBatch:
-    return run_loop(problem, params, seeds, params.swarm_size, SwarmState.from_population,
-                    pso_step)
+    return run_loop(problem, params, seeds, params.swarm_size, SwarmState, pso_step)
 
 
 def de_run(problem: ObjectiveProblem, params: DeParams,
            seeds: Sequence[Union[int, Sequence[int]]]) -> RunBatch:
-    return run_loop(problem, params, seeds, params.pop_size, DeState, de_step)
+    return run_loop(problem, params, seeds, params.pop_size, PopulationState, de_step)

@@ -13,14 +13,6 @@ from . import harness
 from .harness import ConfigError
 
 
-def _parse_values(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_gens(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 def _print_summaries(algorithm: str, summaries) -> None:
     print(f"algorithm: {algorithm}")
     print(f"{'function':10s} {'mean':>14s} {'std':>14s} {'nfe':>12s} {'sr':>8s}")
@@ -43,7 +35,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = harness.load_config(args.config)
-    rows = harness.sweep(config, args.param, _parse_values(args.values), workers=args.workers)
+    values = harness._parse_list("--values", args.values, harness._parse_float)
+    rows = harness.sweep(config, args.param, values, workers=args.workers)
     print(f"{'function':10s} {args.param:>8s} {'mean':>14s} {'sr':>8s}  best")
     for row in rows:
         s = row.summary
@@ -56,7 +49,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     config = harness.load_config(args.config)
-    gens = _parse_gens(args.gens) if args.gens else None
+    gens = harness._parse_list("--gens", args.gens) if args.gens else None
     result, snapshots, warnings = harness.trace(config, gens)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -94,7 +87,8 @@ def cmd_compare(args) -> int:
 def cmd_stats(args) -> int:
     found = harness.recompute_summaries(args.results_dir)
     if not found:
-        print(f"no raw results files in {args.results_dir}", file=sys.stderr)
+        print(f"no completed runs in the raw results files of {args.results_dir}",
+              file=sys.stderr)
         return 1
     for alg, by_fid in sorted(found.items()):
         _print_summaries(alg, by_fid)

@@ -14,14 +14,17 @@ individuals and, for their draws, over the R streams.  Each run draws from
 its own :class:`RngStream` the same values in the same order as it would
 alone, so no result depends on which runs share a call.
 
-The run bookkeeping (:class:`RunState`), the population initializer and
-the run loop are shared with the PSO and DE baselines.
+The PSO and DE baselines share everything here but the proposal rule: one
+state (:class:`PopulationState`; a PSO personal best and a DE target vector
+are the same per-individual memory as an ANS superior solution), one
+population initializer, one generation sweep (:func:`sweep`) and one run
+loop.  An algorithm's step only builds the point each individual tries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -66,16 +69,22 @@ def _check_budget(params) -> None:
 
 
 @dataclass(kw_only=True)
-class RunState:
-    """Run bookkeeping shared by the ANS, PSO and DE states, one row per run.
+class PopulationState:
+    """A population of m individuals in each of R runs, plus the run
+    bookkeeping.
 
-    :meth:`evaluate` is the one place an optimizer evaluates points, so
-    evaluation counting, the first-success record and the best-so-far follow
-    one rule for all three algorithms.  The runs share population size,
-    budget and generation cap, so ``generation`` and ``evals_used`` are
-    common to all of them.
+    ``superiors[r, i]`` is the best point individual i of run r has found
+    (its superior solution, a PSO personal best, a DE target vector) and
+    ``positions[r, i]`` the point it tried last.  :meth:`evaluate` is the one
+    place an optimizer evaluates points, so evaluation counting, the
+    first-success record and the best-so-far follow one rule for all three
+    algorithms.  The runs share population size, budget and generation cap,
+    so ``generation`` and ``evals_used`` are common to all of them.
     """
 
+    positions: np.ndarray                           # (R, m, D)
+    superiors: np.ndarray                           # (R, m, D)
+    superior_fitness: np.ndarray                    # (R, m)
     best_fitness: np.ndarray                        # (R,)
     best: Optional[np.ndarray] = None               # (R, D); None before any evaluation
     evals_to_success: Optional[np.ndarray] = None   # (R,); 0 until the run succeeds
@@ -103,21 +112,6 @@ class RunState:
             np.copyto(self.best, x, where=better[:, None])
             np.copyto(self.best_fitness, fit, where=better)
         return fit
-
-
-@dataclass
-class PopulationState(RunState):
-    """Population arrays; ``superiors[r, i]`` is individual i's memory in run r."""
-
-    positions: np.ndarray          # (R, m, D)
-    superiors: np.ndarray          # (R, m, D)
-    superior_fitness: np.ndarray   # (R, m)
-
-    @classmethod
-    def from_population(cls, positions: np.ndarray, fitness: np.ndarray,
-                        **run) -> "PopulationState":
-        """Superiors start as copies of the initial positions."""
-        return cls(positions, positions.copy(), fitness, **run)
 
 
 @dataclass
@@ -187,65 +181,70 @@ def update_position(positions: np.ndarray, superiors: np.ndarray, self_index: in
 
 def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
          rngs: Sequence[RngStream]) -> PopulationState:
-    """One generation of every run: each individual moves, is evaluated, and
-    may refresh its superior (the global best is kept by
-    :meth:`RunState.evaluate`).
+    """One ANS generation of every run: each individual moves by
+    :func:`update_position` (see :func:`sweep`).
 
-    Individuals are processed in index order and read the superior pool
-    live, so updates earlier in the sweep are visible to later individuals
-    (set ``frozen_superiors`` to give the whole sweep a fixed pool instead).
-    Stops cleanly mid-sweep when the evaluation budget runs out.
+    Individuals read the superior pool live, so updates earlier in the sweep
+    are visible to later individuals (set ``frozen_superiors`` to give the
+    whole sweep a fixed pool instead).
     """
-    superiors = state.superiors
-    sup_fitness = state.superior_fitness
-    positions = state.positions
     bounds = problem.bounds
-    peer_pool = superiors.copy() if params.frozen_superiors else superiors
+    pool = state.superiors.copy() if params.frozen_superiors else state.superiors
+    return sweep(state, problem, params, rngs, lambda i: update_position(
+        state.positions[:, i], pool, i, params, rngs, bounds))
 
-    for i in range(params.population_size):
+
+# ---------------------------------------------------------------------------
+# Shared population initializer, generation sweep and run loop (ANS, PSO, DE)
+# ---------------------------------------------------------------------------
+
+def init_population(problem: ObjectiveProblem, state_cls: Type[PopulationState], size: int,
+                    max_evals: int, rngs: Sequence[RngStream]) -> PopulationState:
+    """A ``state_cls`` holding ``size`` uniform points per run, each its
+    individual's first superior.
+
+    Every point is drawn, even past the budget, so the stream does not
+    depend on it; evaluation stops once ``max_evals`` is used and the
+    individuals left unevaluated keep +inf superior fitness.
+    """
+    runs = len(rngs)
+    positions = np.empty((runs, size, problem.bounds.dim))
+    state = state_cls(positions=positions, superiors=positions,  # copied once drawn
+                      superior_fitness=np.full((runs, size), np.inf),
+                      best_fitness=np.full(runs, np.inf))
+    for i in range(size):
+        for r, rng in enumerate(rngs):
+            positions[r, i] = init_position(rng, problem.bounds)
+        if state.evals_used < max_evals:
+            state.superior_fitness[:, i] = state.evaluate(problem, positions[:, i], rngs)
+    state.superiors = positions.copy()
+    return state
+
+
+def sweep(state: PopulationState, problem: ObjectiveProblem, params,
+          rngs: Sequence[RngStream], propose: Callable[[int], np.ndarray]) -> PopulationState:
+    """One generation of every run: individuals in index order each try the
+    (R, D) point ``propose(i)``, which becomes their position and, on strict
+    improvement, their superior.  Ties keep the incumbent superior, so
+    plateaus cause no memory churn.  Stops cleanly mid-sweep when the
+    evaluation budget runs out.
+    """
+    positions, superiors, sup_fitness = state.positions, state.superiors, state.superior_fitness
+    for i in range(positions.shape[1]):
         if state.evals_used >= params.max_evals:
             break
-        new_pos = update_position(positions[:, i], peer_pool, i, params, rngs, bounds)
-        fit = state.evaluate(problem, new_pos, rngs)
-        positions[:, i] = new_pos
-        # Strict improvement only: ties keep the incumbent superior, so
-        # plateaus cause no memory churn.
+        x = propose(i)
+        fit = state.evaluate(problem, x, rngs)
+        positions[:, i] = x
         better = fit < sup_fitness[:, i]
-        np.copyto(superiors[:, i], new_pos, where=better[:, None])
+        np.copyto(superiors[:, i], x, where=better[:, None])
         np.copyto(sup_fitness[:, i], fit, where=better)
     state.generation += 1
     return state
 
 
-# ---------------------------------------------------------------------------
-# Shared population initializer and run loop (ANS, PSO and DE)
-# ---------------------------------------------------------------------------
-
-def init_population(problem: ObjectiveProblem, new_state: Callable, size: int, max_evals: int,
-                    rngs: Sequence[RngStream]):
-    """Draw and evaluate an initial population of ``size`` uniform points
-    per run.
-
-    Every point is drawn, even past the budget, so the stream does not
-    depend on it; evaluation stops once ``max_evals`` is used and the rows
-    left unevaluated keep +inf fitness.  ``new_state(positions, fitness,
-    **run)`` wraps the (R, size, D) and (R, size) arrays in the optimizer's
-    state, carrying over the :class:`RunState` bookkeeping of the
-    evaluations made here.
-    """
-    positions = np.empty((len(rngs), size, problem.bounds.dim))
-    fitness = np.full((len(rngs), size), np.inf)
-    run = RunState(best_fitness=np.full(len(rngs), np.inf))
-    for i in range(size):
-        for r, rng in enumerate(rngs):
-            positions[r, i] = init_position(rng, problem.bounds)
-        if run.evals_used < max_evals:
-            fitness[:, i] = run.evaluate(problem, positions[:, i], rngs)
-    return new_state(positions, fitness, **vars(run))
-
-
 def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Sequence[int]]],
-             size: int, new_state: Callable, step_fn: Callable,
+             size: int, state_cls: Type[PopulationState], step_fn: Callable,
              on_generation: Optional[Callable] = None) -> RunBatch:
     """One run per seed, advanced together: initialize, then step until
     whichever budget hits first (``params.max_evals`` is always enforced;
@@ -259,7 +258,7 @@ def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Seque
     if not seeds:
         raise ValueError("at least one seed is required")
     rngs = [RngStream(seed) for seed in seeds]
-    state = init_population(problem, new_state, size, params.max_evals, rngs)
+    state = init_population(problem, state_cls, size, params.max_evals, rngs)
     history = [(state.evals_used, state.best_fitness.tolist())]
     if on_generation is not None:
         on_generation(state)
@@ -291,4 +290,4 @@ def run(problem: ObjectiveProblem, params: AnsParams,
         raise ValueError(f"across_degree {params.across_degree} exceeds dimensionality "
                          f"{problem.bounds.dim}")
     return run_loop(problem, params, seeds, params.population_size,
-                    PopulationState.from_population, step, on_generation)
+                    PopulationState, step, on_generation)

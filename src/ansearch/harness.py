@@ -80,31 +80,20 @@ class ExperimentConfig:
             return self.max_evals
         return 600_000 if self.dimensions >= 100 else 300_000
 
-    def across_degree_for(self, function_id: str) -> int:
-        return self.n_per_function.get(function_id, self.across_degree)
-
-    def ans_params(self, function_id: str) -> AnsParams:
-        return AnsParams(population_size=self.population_size,
-                         across_degree=self.across_degree_for(function_id),
-                         sigma=self.sigma,
-                         max_evals=self.budget(),
-                         max_generations=self.max_generations,
-                         frozen_superiors=self.frozen_superiors)
-
     def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
+        """The algorithm's params for one function of this experiment."""
+        budget = dict(max_evals=self.budget(), max_generations=self.max_generations)
         if self.algorithm == "ans":
-            return self.ans_params(function_id)
-        return self.pso_params() if self.algorithm == "pso" else self.de_params()
-
-    def pso_params(self) -> PsoParams:
-        return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia,
-                         c1=self.c1, c2=self.c2, v_max=self.v_max,
-                         max_evals=self.budget(), max_generations=self.max_generations)
-
-    def de_params(self) -> DeParams:
+            return AnsParams(population_size=self.population_size,
+                             across_degree=self.n_per_function.get(function_id,
+                                                                   self.across_degree),
+                             sigma=self.sigma, frozen_superiors=self.frozen_superiors,
+                             **budget)
+        if self.algorithm == "pso":
+            return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia,
+                             c1=self.c1, c2=self.c2, v_max=self.v_max, **budget)
         return DeParams(pop_size=self.de_pop_size, weight=self.de_weight,
-                        crossover=self.de_crossover, max_evals=self.budget(),
-                        max_generations=self.max_generations)
+                        crossover=self.de_crossover, **budget)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +135,9 @@ def _parse_function_list(key, text):
     return ids
 
 
-def _parse_int_list(key, text):
-    return tuple(_parse_int(key, part.strip()) for part in text.split(",") if part.strip())
+def _parse_list(key, text, parse=_parse_int):
+    """Comma-separated values, each read by ``parse(key, text)``."""
+    return tuple(parse(key, part.strip()) for part in text.split(",") if part.strip())
 
 
 def _parse_degree_map(key, text):
@@ -179,7 +169,7 @@ _KEY_PARSERS = {
     "output_dir": lambda k, v: v.strip(),
     "boundary_policy": lambda k, v: v.strip(),
     "finner_mode": lambda k, v: v.strip(),
-    "snapshot_gens": _parse_int_list,
+    "snapshot_gens": _parse_list,
     "write_history": _parse_bool,
     "f8_narrow_range": _parse_bool,
     "population_size": _parse_int,
@@ -302,27 +292,31 @@ def _rotation_seed(config: ExperimentConfig, function_id: str) -> Optional[int]:
 class Job:
     """A contiguous chunk of one function's runs, advanced together."""
 
-    algorithm: str
+    config: ExperimentConfig
     function_id: str
-    dimensions: int
     run_indices: Tuple[int, ...]
-    seeds: Tuple[int, ...]
-    params: Union[AnsParams, PsoParams, DeParams]
-    boundary: str
-    rotation_seed: Optional[int]
-    f8_narrow_range: bool
 
-    def problem(self) -> ObjectiveProblem:
-        return benchmarks.make_problem(self.function_id, self.dimensions,
-                                       rotation_seed=self.rotation_seed,
-                                       f8_narrow_range=self.f8_narrow_range,
-                                       boundary=self.boundary)
+    @property
+    def algorithm(self) -> str:
+        return self.config.algorithm
+
+    def inputs(self) -> Tuple[ObjectiveProblem, Union[AnsParams, PsoParams, DeParams],
+                              List[int]]:
+        """The problem, the params and the run seeds of this job."""
+        config, fid = self.config, self.function_id
+        problem = benchmarks.make_problem(fid, config.dimensions,
+                                          rotation_seed=_rotation_seed(config, fid),
+                                          f8_narrow_range=config.f8_narrow_range,
+                                          boundary=config.boundary_policy)
+        seeds = [derive_run_seed(config.master_seed, config.algorithm, fid, idx)
+                 for idx in self.run_indices]
+        return problem, config.params_for(fid), seeds
 
 
 def execute_job(job: Job) -> RunBatch:
     # Looked up per call, so the module-level run names can be wrapped.
     run_fn = {"ans": ans_run, "pso": pso_run, "de": de_run}[job.algorithm]
-    return run_fn(job.problem(), job.params, job.seeds)
+    return run_fn(*job.inputs())
 
 
 def _safe_execute(job: Job):
@@ -338,25 +332,9 @@ def _safe_execute(job: Job):
 def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
     """One job per function and contiguous chunk of its runs.  Every run
     keeps its own seed, so the chunking changes no result."""
-    jobs = []
-    for fid in config.functions:
-        rotation_seed = _rotation_seed(config, fid)
-        params = config.params_for(fid)
-        for part in np.array_split(np.arange(config.runs), min(chunks, config.runs)):
-            indices = tuple(int(idx) for idx in part)
-            jobs.append(Job(
-                algorithm=config.algorithm,
-                function_id=fid,
-                dimensions=config.dimensions,
-                run_indices=indices,
-                seeds=tuple(derive_run_seed(config.master_seed, config.algorithm, fid, idx)
-                            for idx in indices),
-                params=params,
-                boundary=config.boundary_policy,
-                rotation_seed=rotation_seed,
-                f8_narrow_range=config.f8_narrow_range,
-            ))
-    return jobs
+    return [Job(config, fid, tuple(int(idx) for idx in part))
+            for fid in config.functions
+            for part in np.array_split(np.arange(config.runs), min(chunks, config.runs))]
 
 
 def _run_jobs(config: ExperimentConfig, workers: int):
@@ -391,7 +369,7 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     chunking of runs into jobs changes any byte of output.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
-    outcomes = _run_jobs(config, workers)
+    outcomes = _run_jobs(validate_config(config), workers)
     by_key = {(fid, idx): (res, err) for fid, idx, res, err in outcomes}
 
     results: Dict[str, List[Optional[RunResult]]] = {}
@@ -421,12 +399,10 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
 # Report files
 # ---------------------------------------------------------------------------
 
-def _fmt_nfe(nfe: Optional[float]) -> str:
-    return "---" if nfe is None else f"{nfe:.1f}"
-
-
-def _fmt_sr(sr: float) -> str:
-    return f"{sr * 100:g}%"
+def _fmt_summary(s: stats.FunctionSummary) -> str:
+    """The ``mean,std,nfe,sr`` columns every summary table shares."""
+    nfe = "---" if s.mean_nfe_to_success is None else f"{s.mean_nfe_to_success:.1f}"
+    return f"{s.mean:.6E},{s.std:.6E},{nfe},{s.success_rate * 100:g}%"
 
 
 def _fmt_value(value: float) -> str:
@@ -434,6 +410,9 @@ def _fmt_value(value: float) -> str:
     ``value`` (``repr``), so no swept value is rounded."""
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
+
+
+_RESULTS_HEADER = "run_index,seed,final_fitness,evals_to_success,evals_used"
 
 
 def results_file(out_dir: str, algorithm: str, function_id: str) -> str:
@@ -449,8 +428,7 @@ def _write_summary(out_dir: str, algorithm: str,
     with open(summary_file(out_dir, algorithm), "w") as fh:
         fh.write("function,mean,std,nfe,sr,rank\n")
         for fid, s in rows:
-            fh.write(f"{fid},{s.mean:.6E},{s.std:.6E},{_fmt_nfe(s.mean_nfe_to_success)},"
-                     f"{_fmt_sr(s.success_rate)},{s.rank}\n")
+            fh.write(f"{fid},{_fmt_summary(s)},{s.rank}\n")
 
 
 def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str) -> None:
@@ -461,7 +439,7 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
             path = os.path.join(out_dir, f"rotation_{fid}_D{config.dimensions}.txt")
             save_rotation_matrix(path, make_rotation_matrix(config.dimensions, seed))
         with open(results_file(out_dir, batch.algorithm, fid), "w") as fh:
-            fh.write("run_index,seed,final_fitness,evals_to_success,evals_used\n")
+            fh.write(_RESULTS_HEADER + "\n")
             for idx, res in enumerate(batch.results[fid]):
                 if res is None:
                     continue
@@ -516,7 +494,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
     configs = []
     for value in values:
         if parameter in ("n", "m"):
-            if value != int(value):
+            if not float(value).is_integer():   # also rejects nan and inf
                 raise ConfigError("invalid_value", f"{parameter} values must be integers")
             value = int(value)
         overrides = {field_name: value}
@@ -543,9 +521,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
         with open(path, "w") as fh:
             fh.write(f"function,{parameter},mean,std,nfe,sr,best\n")
             for row in rows:
-                s = row.summary
-                fh.write(f"{row.function_id},{_fmt_value(row.value)},{s.mean:.6E},{s.std:.6E},"
-                         f"{_fmt_nfe(s.mean_nfe_to_success)},{_fmt_sr(s.success_rate)},"
+                fh.write(f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
                          f"{int(row.best)}\n")
     return rows
 
@@ -583,8 +559,8 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
             snapshots.append(Snapshot(state.generation, state.positions[0].copy(),
                                       state.superiors[0].copy()))
 
-    job = _make_jobs(replace(config, runs=1))[0]
-    result = ans_run(job.problem(), job.params, job.seeds, on_generation=capture).runs[0]
+    problem, params, seeds = Job(config, config.functions[0], (0,)).inputs()
+    result = ans_run(problem, params, seeds, on_generation=capture).runs[0]
 
     captured = {snap.generation for snap in snapshots}
     warnings = [f"snapshot generation {g} is beyond termination "
@@ -723,8 +699,7 @@ def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
         for fid in report.function_ids:
             for lab in report.labels:
                 s = report.summaries[lab][fid]
-                fh.write(f"{fid},{lab},{s.mean:.6E},{s.std:.6E},"
-                         f"{_fmt_nfe(s.mean_nfe_to_success)},{_fmt_sr(s.success_rate)},{s.rank}\n")
+                fh.write(f"{fid},{lab},{_fmt_summary(s)},{s.rank}\n")
     with open(os.path.join(out_dir, "ranks.csv"), "w") as fh:
         fh.write("algorithm,mean_rank,overall_rank\n")
         for lab in report.labels:
@@ -752,17 +727,25 @@ def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
 # ---------------------------------------------------------------------------
 
 def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], int]]:
+    """The rows of a raw results file; a malformed file is a ``syntax``
+    :class:`ConfigError` naming the line."""
     rows = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "run_index,seed,final_fitness,evals_to_success,evals_used":
-            raise ValueError(f"{path} is not a raw results file")
-        for line in fh:
+        if fh.readline().strip() != _RESULTS_HEADER:
+            raise ConfigError("syntax", f"{path} line 1: expected the header {_RESULTS_HEADER}")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            idx, seed, fit, nfe, used = line.strip().split(",")
-            rows.append((int(idx), int(seed), float(fit),
-                         int(nfe) if nfe else None, int(used)))
+            fields = line.strip().split(",")
+            if len(fields) != 5:
+                raise ConfigError("syntax", f"{path} line {lineno}: expected 5 fields, "
+                                            f"got {len(fields)}")
+            idx, seed, fit, nfe, used = fields
+            try:
+                rows.append((int(idx), int(seed), float(fit),
+                             int(nfe) if nfe else None, int(used)))
+            except ValueError as exc:
+                raise ConfigError("syntax", f"{path} line {lineno}: {exc}") from None
     return rows
 
 
@@ -770,8 +753,12 @@ def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionS
     """Rebuild per-function summaries from the raw results CSVs in a
     directory, keyed by algorithm then function (in function-number order);
     rewrites the summary files."""
+    try:
+        names = sorted(os.listdir(results_dir))
+    except OSError as exc:
+        raise ConfigError("missing_file", f"cannot read results directory: {exc}") from None
     found: Dict[str, Dict[str, stats.FunctionSummary]] = {}
-    for name in sorted(os.listdir(results_dir)):
+    for name in names:
         if not (name.startswith("results_") and name.endswith(".csv")):
             continue
         stem = name[len("results_"):-len(".csv")]
@@ -779,6 +766,8 @@ def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionS
         if alg not in ALGORITHMS or fid not in SPECS:
             continue
         rows = read_results_csv(os.path.join(results_dir, name))
+        if not rows:
+            continue   # every run failed; the batch wrote no summary row either
         summary = stats.summarize([r[2] for r in rows], [r[3] for r in rows])
         found.setdefault(alg, {})[fid] = summary
     for alg, by_fid in found.items():

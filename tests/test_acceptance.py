@@ -5,8 +5,10 @@ see them as they complete).  Stochastic criteria run reduced seed counts
 at fixed master seeds with loose tolerances.
 """
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -96,24 +98,31 @@ def test_criterion_05_step_30d_exact_zero():
 
 def test_criterion_06_parameter_sensitivity_trends():
     runs = 5
+    # Seven independent groups of full-budget runs, run concurrently.
+    groups = {
+        "n1": ("f7", 30, 1, runs, 300_000),
+        "n28": ("f7", 30, 28, runs, 300_000),
+        **{f"sigma{sigma}": ("f1", 30, 28, runs, 300_000, 20, sigma)
+           for sigma in (0.1, 0.5, 0.9)},
+        "m5": ("f13", 30, 28, runs, 300_000, 5),
+        "m20": ("f13", 30, 28, runs, 300_000, 20),
+    }
+    workers = min(len(groups), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {name: pool.submit(ans_runs, *args) for name, args in groups.items()}
+        results = {name: future.result() for name, future in futures.items()}
     # (a) across-search degree on 30-D rastrigin: 1 beats 28.
-    mean_n1 = float(np.mean([r.best_fitness for r in
-                             ans_runs("f7", 30, 1, runs, 300_000)]))
-    mean_n28 = float(np.mean([r.best_fitness for r in
-                              ans_runs("f7", 30, 28, runs, 300_000)]))
+    mean_n1 = float(np.mean([r.best_fitness for r in results["n1"]]))
+    mean_n28 = float(np.mean([r.best_fitness for r in results["n28"]]))
     ok_a = mean_n1 < mean_n28
     # (b) sigma on 30-D sphere: 0.5 beats 0.1 and 0.9 by >= 10 orders.
-    means_sigma = {}
-    for sigma in (0.1, 0.5, 0.9):
-        means_sigma[sigma] = float(np.mean(
-            [r.best_fitness for r in ans_runs("f1", 30, 28, runs, 300_000, sigma=sigma)]))
+    means_sigma = {sigma: float(np.mean([r.best_fitness for r in results[f"sigma{sigma}"]]))
+                   for sigma in (0.1, 0.5, 0.9)}
     ok_b = (means_sigma[0.5] <= 1e-10 * means_sigma[0.1]
             and means_sigma[0.5] <= 1e-10 * means_sigma[0.9])
     # (c) population size on rotated 30-D sphere: 5 fails, 20 succeeds.
-    sr5 = np.mean([r.evals_to_success is not None
-                   for r in ans_runs("f13", 30, 28, runs, 300_000, population=5)])
-    sr20 = np.mean([r.evals_to_success is not None
-                    for r in ans_runs("f13", 30, 28, runs, 300_000, population=20)])
+    sr5 = np.mean([r.evals_to_success is not None for r in results["m5"]])
+    sr20 = np.mean([r.evals_to_success is not None for r in results["m20"]])
     ok_c = sr5 == 0.0 and sr20 == 1.0
     check(6, ok_a and ok_b and ok_c,
           f"(a) degree means {mean_n1:.2e} vs {mean_n28:.2e}; "

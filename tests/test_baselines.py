@@ -3,11 +3,11 @@ import pytest
 
 from conftest import ScriptedRng
 
-from ansearch.baselines import (DeParams, DeState, PsoParams, SwarmState, _three_distinct,
-                                de_run, de_step, pso_run, pso_step)
+from ansearch.baselines import (DeParams, PsoParams, SwarmState, _three_distinct, de_run,
+                                de_step, pso_run, pso_step)
 from ansearch.benchmarks import make_problem
 from ansearch.core import RngStream
-from ansearch.engine import init_population
+from ansearch.engine import PopulationState, init_population
 
 
 def test_param_validation():
@@ -33,17 +33,17 @@ def test_param_validation():
 
 
 def swarm(positions, velocities, pbest, pbest_fit, gbest, gbest_fit):
-    """A 1-run swarm state."""
+    """A 1-run swarm state; pbest is the individuals' superiors."""
     return SwarmState(positions=np.array([positions], dtype=float),
                       velocities=np.array([velocities], dtype=float),
-                      pbest=np.array([pbest], dtype=float),
-                      pbest_fitness=np.array([pbest_fit], dtype=float),
+                      superiors=np.array([pbest], dtype=float),
+                      superior_fitness=np.array([pbest_fit], dtype=float),
                       best=np.array([gbest], dtype=float),
                       best_fitness=np.array([gbest_fit], dtype=float))
 
 
 def de_init(problem, params, rngs):
-    return init_population(problem, DeState, params.pop_size, params.max_evals, rngs)
+    return init_population(problem, PopulationState, params.pop_size, params.max_evals, rngs)
 
 
 def test_pso_null_update_keeps_positions():
@@ -105,9 +105,11 @@ def test_de_mutation_crossover_selection_hand_case():
     params = DeParams(pop_size=4, weight=0.5, crossover=0.9, max_evals=100)
     population = np.array([[3.0], [1.0], [2.0], [4.0]])
     fitness = np.array([9.0, 1.0, 4.0, 16.0])
-    state = DeState(population=np.stack([population, population]),
-                    fitness=np.stack([fitness, fitness]),
-                    best=np.array([[1.0], [1.0]]), best_fitness=np.array([1.0, 1.0]))
+    # The population is the individuals' superiors.
+    state = PopulationState(positions=np.stack([population, population]),
+                            superiors=np.stack([population, population]),
+                            superior_fitness=np.stack([fitness, fitness]),
+                            best=np.array([[1.0], [1.0]]), best_fitness=np.array([1.0, 1.0]))
     # Run 0, target 0: r1,r2,r3 = 1,2,3 -> donor = 1 + 0.5*(2-4) = 0; forced
     # dim 0; 0 < 9 so the trial replaces the target.  Run 1, target 0:
     # r1,r2,r3 = 3,1,2 -> donor = 4 + 0.5*(1-2) = 3.5, and 12.25 > 9 keeps
@@ -120,10 +122,12 @@ def test_de_mutation_crossover_selection_hand_case():
     rngs = [ScriptedRng(integer_draws=list(script), uniform_value=0.0),  # 0.0 < CR: all cross
             ScriptedRng(integer_draws=[2, 0, 1, 0] + script[4:], uniform_value=0.0)]
     de_step(state, problem, params, rngs)
-    assert state.population[0, 0, 0] == 0.0
-    assert state.fitness[0, 0] == 0.0
-    assert state.population[1, 0, 0] == 3.0
-    assert state.fitness[1, 0] == 9.0
+    assert state.superiors[0, 0, 0] == 0.0
+    assert state.superior_fitness[0, 0] == 0.0
+    assert state.superiors[1, 0, 0] == 3.0
+    assert state.superior_fitness[1, 0] == 9.0
+    # A slot's position is its last trial, kept or not.
+    assert state.positions[1, 0, 0] == 3.5
     np.testing.assert_array_equal(state.best_fitness, [0.0, 1.0])
 
 
@@ -132,12 +136,12 @@ def test_de_zero_weight_full_crossover_copies_base_vector():
     params = DeParams(pop_size=6, weight=0.0, crossover=1.0, max_evals=1_000)
     rngs = [RngStream(3)]
     state = de_init(problem, params, rngs)
-    before = state.population[0].copy()
+    before = state.superiors[0].copy()
     de_step(state, problem, params, rngs)
     rows = {tuple(r) for r in np.round(before, 12)}
     # With F=0 and CR=1 every trial is exactly some pre-existing vector, so
     # any accepted replacement must coincide with a sweep-start row.
-    for row in state.population[0]:
+    for row in state.superiors[0]:
         assert tuple(np.round(row, 12)) in rows or any(
             np.allclose(row, b) for b in before)
 
@@ -148,9 +152,9 @@ def test_de_selection_is_greedy_per_target():
     rngs = [RngStream(8), RngStream(9)]
     state = de_init(problem, params, rngs)
     for _ in range(15):
-        before = state.fitness.copy()
+        before = state.superior_fitness.copy()
         de_step(state, problem, params, rngs)
-        assert np.all(state.fitness <= before)
+        assert np.all(state.superior_fitness <= before)
 
 
 def test_de_run_monotone_and_deterministic():

@@ -276,7 +276,7 @@ def test_step_consumes_population_size_evaluations():
 
 
 def run_initial(problem, params, seeds):
-    return init_population(problem, PopulationState.from_population, params.population_size,
+    return init_population(problem, PopulationState, params.population_size,
                            params.max_evals, [RngStream(seed) for seed in seeds])
 
 

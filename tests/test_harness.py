@@ -73,8 +73,8 @@ def test_default_budget_scales_with_dimensionality():
 def test_n_per_function_override():
     config = parse_config_text(
         "functions = f1,f7\ndimensions = 30\nn_per_function = f1:28\n")
-    assert config.ans_params("f1").across_degree == 28
-    assert config.ans_params("f7").across_degree == 1
+    assert config.params_for("f1").across_degree == 28
+    assert config.params_for("f7").across_degree == 1
 
 
 def test_config_error_codes(tmp_path):
@@ -208,8 +208,8 @@ def test_lockstep_batch_matches_one_run_batches(alg, overrides):
     for job in harness._make_jobs(lockstep_config(alg, overrides)):
         together = harness.execute_job(job).runs
         assert len(together) == 4
-        for idx, seed, result in zip(job.run_indices, job.seeds, together):
-            alone = harness.execute_job(replace(job, run_indices=(idx,), seeds=(seed,))).runs[0]
+        for idx, result in zip(job.run_indices, together):
+            alone = harness.execute_job(replace(job, run_indices=(idx,))).runs[0]
             assert result.best_fitness == alone.best_fitness
             np.testing.assert_array_equal(result.best_position, alone.best_position)
             assert result.evals_to_success == alone.evals_to_success
@@ -339,6 +339,46 @@ def test_recompute_summaries_skips_blank_lines(tmp_path):
     assert len(read_results_csv(path)) == 3
     found = recompute_summaries(out)
     assert set(found["ans"]) == {"f1", "f5"}
+    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+        assert fh.read() == original
+
+
+RESULTS_HEADER = "run_index,seed,final_fitness,evals_to_success,evals_used\n"
+MALFORMED_RESULTS = {
+    # name: (file text, line named in the error)
+    "wrong_header": ("run,seed,fitness\n0,1,2.0\n", 1),
+    "too_few_fields": (RESULTS_HEADER + "0,11,1.5,,400\n1,12,2.5,400\n", 3),
+    "non_numeric_field": (RESULTS_HEADER + "0,11,1.5,,400\n1,12,low,,400\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+def test_stats_rejects_malformed_results_file(tmp_path, capsys, case):
+    text, line = MALFORMED_RESULTS[case]
+    path = tmp_path / "results_ans_f1.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        read_results_csv(str(path))
+    assert err.value.code == "syntax" and f"{path} line {line}:" in str(err.value)
+    assert cli.main(["stats", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["results_ans_f1.csv"]
+
+
+def test_recompute_summaries_skips_functions_whose_runs_all_failed(tmp_path, monkeypatch):
+    # A function whose every run failed leaves a header-only results file
+    # and no summary row; recomputing must reproduce that summary.
+    def boom(x):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setitem(benchmarks._BASE_EVALUATORS, "f1", boom)
+    config = tiny_config(tmp_path)
+    run_batch(config)
+    out = config.output_dir
+    assert read_results_csv(os.path.join(out, "results_ans_f1.csv")) == []
+    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+        original = fh.read()
+    assert set(recompute_summaries(out)["ans"]) == {"f5"}
     with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
         assert fh.read() == original
 
@@ -636,9 +676,19 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     trace_cfg = write_config(tmp_path, "functions = f7\ndimensions = 2\nruns = 1\n"
                                        f"max_evals = 60\noutput_dir = {tmp_path / 't'}\n",
                              "tr.cfg")
-    assert cli.main(["trace", str(trace_cfg), "--gens=-1,0"]) == 2
-    assert "invalid_value" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
+    sweep_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s"), "sw.cfg")
+    # Malformed or non-integer list arguments, before anything runs.
+    for argv in (["trace", str(trace_cfg), "--gens=-1,0"],
+                 ["trace", str(trace_cfg), "--gens", "a"],
+                 ["sweep", str(sweep_cfg), "--param", "sigma", "--values", "x"],
+                 ["sweep", str(sweep_cfg), "--param", "m", "--values", "nan"],
+                 ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,inf"],
+                 ["sweep", str(sweep_cfg), "--param", "n", "--values", "1.5"]):
+        assert cli.main(argv) == 2, argv
+        assert "invalid_value" in capsys.readouterr().err, argv
+    assert not (tmp_path / "t").exists() and not (tmp_path / "s").exists()
+    assert cli.main(["stats", str(tmp_path / "no_such_dir")]) == 2
+    assert "missing_file" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_run_failure(tmp_path, monkeypatch, capsys):
