@@ -4,8 +4,7 @@ experiment harness."""
 
 from .core import ObjectiveProblem, RngStream, SearchBounds, init_position
 from .benchmarks import (BenchmarkSpec, RotationMatrix, load_rotation_matrix, make_problem,
-                         make_rotation_matrix, optimum_point, save_rotation_matrix,
-                         default_suite)
+                         make_rotation_matrix, optimum_point, save_rotation_matrix)
 from .engine import (AnsParams, PopulationState, RunBatch, RunResult, SUCCESS_THRESHOLD, run,
                      step, update_position)
 from .baselines import DeParams, PsoParams, de_run, de_step, pso_run, pso_step

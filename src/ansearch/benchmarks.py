@@ -1,80 +1,23 @@
 """Benchmark function suite: 6 unimodal, 6 multimodal and 6 rotated problems.
 
-All problems are minimization with optimum value 0.  Rotated variants
-evaluate the base function at z = M x for an orthogonal matrix M generated
-once per experiment and persisted to disk so that every algorithm and every
-run faces the identical landscape.
+All problems are minimization with optimum value 0.  ``SPECS`` holds one
+row per function id: its search box, its row-wise function and its
+minimizer.  The rotated f13..f18 each name an unrotated base row and
+evaluate its function at z = M x, for an orthogonal matrix M generated once
+per experiment and persisted to disk so that every algorithm and every run
+faces the identical landscape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream, SearchBounds
 
 TWO_PI = 2.0 * np.pi
-
-FUNCTION_IDS = tuple(f"f{i}" for i in range(1, 19))
-
-# f13..f18 are rotations of these base functions.
-ROTATION_BASE = {
-    "f13": "f1",
-    "f14": "f2",
-    "f15": "f3",
-    "f16": "f7",
-    "f17": "f9",
-    "f18": "f10",
-}
-
-
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    id: str
-    name: str
-    lo: float
-    hi: float
-    is_rotated: bool = False
-    is_noisy: bool = False
-    base_id: Optional[str] = None
-
-    def bounds(self, dim: int) -> SearchBounds:
-        return SearchBounds(self.lo, self.hi, dim)
-
-
-def default_suite() -> List[BenchmarkSpec]:
-    """The full 18-function suite with its published search ranges.
-
-    The noncontinuous Rastrigin (f8) keeps its published [-600, 600] range
-    even though the usual literature uses [-5.12, 5.12]; see
-    ``make_problem(f8_narrow_range=True)`` for the conventional box.
-    """
-    return [
-        BenchmarkSpec("f1", "Sphere", -500.0, 500.0),
-        BenchmarkSpec("f2", "Rosenbrock", -2.048, 2.048),
-        BenchmarkSpec("f3", "Schwefel 2.21", -10.0, 10.0),
-        BenchmarkSpec("f4", "Schwefel 2.22", -10.0, 10.0),
-        BenchmarkSpec("f5", "Step", -100.0, 100.0),
-        BenchmarkSpec("f6", "Noise Quadric", -2.048, 2.048, is_noisy=True),
-        BenchmarkSpec("f7", "Rastrigin", -5.12, 5.12),
-        BenchmarkSpec("f8", "Noncontinuous Rastrigin", -600.0, 600.0),
-        BenchmarkSpec("f9", "Ackley", -32.0, 32.0),
-        BenchmarkSpec("f10", "Griewank", -600.0, 600.0),
-        BenchmarkSpec("f11", "Penalized 1", -50.0, 50.0),
-        BenchmarkSpec("f12", "Penalized 2", -50.0, 50.0),
-        BenchmarkSpec("f13", "Rotated Sphere", -500.0, 500.0, is_rotated=True, base_id="f1"),
-        BenchmarkSpec("f14", "Rotated Rosenbrock", -2.048, 2.048, is_rotated=True, base_id="f2"),
-        BenchmarkSpec("f15", "Rotated Schwefel 2.21", -10.0, 10.0, is_rotated=True, base_id="f3"),
-        BenchmarkSpec("f16", "Rotated Rastrigin", -5.12, 5.12, is_rotated=True, base_id="f7"),
-        BenchmarkSpec("f17", "Rotated Ackley", -32.0, 32.0, is_rotated=True, base_id="f9"),
-        BenchmarkSpec("f18", "Rotated Griewank", -600.0, 600.0, is_rotated=True, base_id="f10"),
-    ]
-
-
-SPECS: Dict[str, BenchmarkSpec] = {s.id: s for s in default_suite()}
-
 
 # ---------------------------------------------------------------------------
 # Base functions.  Each is row-wise: ``x`` is (..., D), one point per row,
@@ -192,19 +135,50 @@ def penalized_2(x):
     return 0.1 * core + _penalty_sum(x, 5.0, 100.0, 4.0)
 
 
-_BASE_EVALUATORS = {
-    "f1": sphere,
-    "f2": rosenbrock,
-    "f3": schwefel_2_21,
-    "f4": schwefel_2_22,
-    "f5": step,
-    "f7": rastrigin,
-    "f8": noncontinuous_rastrigin,
-    "f9": ackley,
-    "f10": griewank,
-    "f11": penalized_1,
-    "f12": penalized_2,
-}
+@dataclass(frozen=True)
+class BenchmarkSpec:
+    """One benchmark function: the box [lo, hi] of every coordinate, the
+    row-wise ``function`` (f6's also takes the rows' streams, for its
+    noise) and the coordinate ``optimum`` its minimizer repeats in every
+    dimension.  A rotated function evaluates its ``base_id`` row's function
+    at z = M x and keeps that row's box and optimum."""
+
+    id: str
+    name: str
+    lo: float
+    hi: float
+    function: Callable
+    optimum: float = 0.0
+    base_id: Optional[str] = None
+
+    @property
+    def is_rotated(self) -> bool:
+        return self.base_id is not None
+
+
+# The noncontinuous Rastrigin (f8) keeps its published [-600, 600] range
+# even though the usual literature uses [-5.12, 5.12]; see
+# ``make_problem(f8_narrow_range=True)`` for the conventional box.
+SPECS: Dict[str, BenchmarkSpec] = {s.id: s for s in (
+    BenchmarkSpec("f1", "Sphere", -500.0, 500.0, sphere),
+    BenchmarkSpec("f2", "Rosenbrock", -2.048, 2.048, rosenbrock, optimum=1.0),
+    BenchmarkSpec("f3", "Schwefel 2.21", -10.0, 10.0, schwefel_2_21),
+    BenchmarkSpec("f4", "Schwefel 2.22", -10.0, 10.0, schwefel_2_22),
+    BenchmarkSpec("f5", "Step", -100.0, 100.0, step),
+    BenchmarkSpec("f6", "Noise Quadric", -2.048, 2.048, noise_quadric),
+    BenchmarkSpec("f7", "Rastrigin", -5.12, 5.12, rastrigin),
+    BenchmarkSpec("f8", "Noncontinuous Rastrigin", -600.0, 600.0, noncontinuous_rastrigin),
+    BenchmarkSpec("f9", "Ackley", -32.0, 32.0, ackley),
+    BenchmarkSpec("f10", "Griewank", -600.0, 600.0, griewank),
+    BenchmarkSpec("f11", "Penalized 1", -50.0, 50.0, penalized_1, optimum=-1.0),
+    BenchmarkSpec("f12", "Penalized 2", -50.0, 50.0, penalized_2, optimum=1.0),
+)}
+SPECS.update({fid: replace(SPECS[base], id=fid, name=f"Rotated {SPECS[base].name}",
+                           base_id=base)
+              for fid, base in (("f13", "f1"), ("f14", "f2"), ("f15", "f3"),
+                                ("f16", "f7"), ("f17", "f9"), ("f18", "f10"))})
+
+FUNCTION_IDS = tuple(SPECS)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +246,10 @@ def load_rotation_matrix(path) -> RotationMatrix:
 def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] = None,
                  rotation_seed: Optional[int] = None,
                  f8_narrow_range: bool = False, boundary: str = "clamp") -> ObjectiveProblem:
-    """Bind a benchmark spec to a dimensionality (and rotation, if rotated)
-    and to the boundary policy (``clamp`` or ``none``, see :class:`SearchBounds`)."""
+    """Bind a benchmark spec to a dimensionality and to the boundary policy
+    (``clamp`` or ``none``, see :class:`SearchBounds`).  A rotated id needs
+    ``rotation`` or a ``rotation_seed`` to build it from; an unrotated id
+    takes neither."""
     if function_id not in SPECS:
         raise ValueError(f"unknown function id {function_id!r}")
     spec = SPECS[function_id]
@@ -281,42 +257,36 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
     if function_id == "f8" and f8_narrow_range:
         lo, hi = -5.12, 5.12
     bounds = SearchBounds(lo, hi, dim, boundary)
+    fn = spec.function
 
-    matrix = None
-    if spec.is_rotated:
-        if rotation is None:
-            if rotation_seed is None:
-                raise ValueError(f"{function_id} needs a rotation matrix or a rotation seed")
-            rotation = make_rotation_matrix(dim, rotation_seed)
-        if rotation.dim != dim:
-            raise ValueError(f"rotation matrix is {rotation.dim}-D, problem is {dim}-D")
-        matrix = rotation.matrix
-        base = _BASE_EVALUATORS[spec.base_id]
+    if not spec.is_rotated:
+        if rotation is not None or rotation_seed is not None:
+            raise ValueError(f"{function_id} is not rotated; it takes no rotation")
+        if function_id == "f6":
+            evaluator = fn   # draws its noise from the rows' streams
+        else:
+            evaluator = lambda x, rngs, _fn=fn: _fn(x)  # noqa: E731
+        return ObjectiveProblem(function_id=function_id, bounds=bounds, evaluator=evaluator)
 
-        def evaluator(x, rngs, _base=base, _m=matrix):
-            # One matrix-vector product per row: the bits of ``_m @ row``.
-            return _base((_m @ x[..., None])[..., 0])
+    if rotation is None:
+        if rotation_seed is None:
+            raise ValueError(f"{function_id} needs a rotation matrix or a rotation seed")
+        rotation = make_rotation_matrix(dim, rotation_seed)
+    if rotation.dim != dim:
+        raise ValueError(f"rotation matrix is {rotation.dim}-D, problem is {dim}-D")
 
-    elif spec.id == "f6":
-        evaluator = noise_quadric
-    else:
-        fn = _BASE_EVALUATORS[spec.id]
-        evaluator = lambda x, rngs, _fn=fn: _fn(x)  # noqa: E731
+    def evaluator(x, rngs, _fn=fn, _m=rotation.matrix):
+        # One matrix-vector product per row: the bits of ``_m @ row``.
+        return _fn((_m @ x[..., None])[..., 0])
 
-    return ObjectiveProblem(function_id=function_id, bounds=bounds,
-                            evaluator=evaluator, rotation=matrix)
+    return ObjectiveProblem(function_id=function_id, bounds=bounds, evaluator=evaluator,
+                            rotation=rotation.matrix)
 
 
 def optimum_point(function_id: str, dim: int, rotation: Optional[np.ndarray] = None) -> np.ndarray:
     """The known optimizer; rotated ids return the pre-image under M."""
     spec = SPECS[function_id]
-    base = spec.base_id if spec.is_rotated else function_id
-    if base == "f2" or base == "f12":
-        z = np.ones(dim)
-    elif base == "f11":
-        z = -np.ones(dim)
-    else:
-        z = np.zeros(dim)
+    z = np.full(dim, spec.optimum)
     if spec.is_rotated:
         if rotation is None:
             raise ValueError(f"{function_id} needs its rotation matrix to place the optimum")

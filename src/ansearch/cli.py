@@ -21,13 +21,18 @@ def _print_summaries(algorithm: str, summaries) -> None:
         print(f"{fid:10s} {s.mean:14.6E} {s.std:14.6E} {nfe:>12s} {s.success_rate * 100:7.6g}%")
 
 
+def _report_failures(algorithm: str, failures) -> bool:
+    """One stderr line per failed run; True when any run failed."""
+    for fid, idx, msg in failures:
+        print(f"FAILED {algorithm} {fid} run {idx}: {msg}", file=sys.stderr)
+    return bool(failures)
+
+
 def cmd_run(args) -> int:
     config = harness.load_config(args.config)
     batch = harness.run_batch(config, workers=args.workers)
     _print_summaries(batch.algorithm, batch.summaries)
-    if batch.failures:
-        for fid, idx, msg in batch.failures:
-            print(f"FAILED {fid} run {idx}: {msg}", file=sys.stderr)
+    if _report_failures(batch.algorithm, batch.failures):
         return 1
     print(f"reports written to {config.output_dir}")
     return 0
@@ -36,7 +41,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = harness.load_config(args.config)
     values = harness._parse_list("--values", args.values, harness._parse_float)
-    rows = harness.sweep(config, args.param, values, workers=args.workers)
+    rows, failures = harness.sweep(config, args.param, values, workers=args.workers)
     print(f"{'function':10s} {args.param:>8s} {'mean':>14s} {'sr':>8s}  best")
     for row in rows:
         s = row.summary
@@ -44,7 +49,7 @@ def cmd_sweep(args) -> int:
         print(f"{row.function_id:10s} {row.value:8g} {s.mean:14.6E} "
               f"{s.success_rate * 100:7.6g}%  {marker}")
     print(f"sweep table written to {config.output_dir}")
-    return 0
+    return 1 if _report_failures(config.algorithm, failures) else 0
 
 
 def cmd_trace(args) -> int:
@@ -63,6 +68,10 @@ def cmd_compare(args) -> int:
     configs = [harness.load_config(path) for path in args.configs]
     report = harness.compare(configs, reference=args.reference, workers=args.workers,
                              output_dir=args.output_dir)
+    # A list, not a generator: every algorithm's failures are printed.
+    failed = any([_report_failures(lab, report.failures[lab]) for lab in report.labels])
+    if not report.function_ids:   # every function lost its runs of some algorithm
+        return 1
     peers = [lab for lab in report.labels if lab != report.reference]
     print(f"reference: {report.reference}")
     header = "function  " + "  ".join(f"{p:>8s}" for p in peers)
@@ -81,7 +90,7 @@ def cmd_compare(args) -> int:
     for lab in report.labels:
         print(f"  {lab}: mean rank {report.mean_rank[lab]:.4f}, "
               f"overall rank {report.overall_rank[lab]}")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_stats(args) -> int:

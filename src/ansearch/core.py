@@ -85,17 +85,14 @@ def init_position(rng: RngStream, bounds: SearchBounds) -> np.ndarray:
     return rng.uniform(bounds.lo, bounds.hi, bounds.dim)
 
 
-ROTATED_IDS = frozenset({"f13", "f14", "f15", "f16", "f17", "f18"})
-
-
 @dataclass
 class ObjectiveProblem:
     """One benchmark instance, shared by the runs advanced together.
 
     Evaluation is row-wise: ``x`` is (..., D), one point per row, and each
     row of a noisy function draws its noise from its own stream in
-    ``rngs``.  Counts every point evaluated; ``rotation`` is mandatory for
-    the rotated function ids f13..f18 and forbidden otherwise.
+    ``rngs``.  Counts every point evaluated; ``rotation``, when given, is
+    the orthogonal matrix M of a rotated function.
     """
 
     function_id: str
@@ -105,11 +102,6 @@ class ObjectiveProblem:
     eval_count: int = field(default=0)
 
     def __post_init__(self):
-        rotated = self.function_id in ROTATED_IDS
-        if rotated and self.rotation is None:
-            raise ValueError(f"{self.function_id} requires a rotation matrix")
-        if not rotated and self.rotation is not None:
-            raise ValueError(f"{self.function_id} does not take a rotation matrix")
         if self.rotation is not None:
             err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.bounds.dim)))
             if err > 1e-10:

@@ -40,7 +40,8 @@ class AnsParams:
     Each individual contributes exactly one superior solution to the shared
     pool, so the pool size is ``population_size``.  ``across_degree`` of 0
     disables peer borrowing entirely (accepted, though defaults never use
-    it); it may not exceed the problem dimensionality.
+    it); it may not exceed the problem dimensionality, and a degree >= 1
+    needs a peer, so ``population_size`` >= 2.
     """
 
     population_size: int = 20
@@ -55,6 +56,8 @@ class AnsParams:
             raise ValueError("population_size must be >= 1")
         if self.across_degree < 0:
             raise ValueError("across_degree must be >= 0")
+        if self.across_degree and self.population_size < 2:
+            raise ValueError("across_degree >= 1 needs population_size >= 2")
         if not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be finite and > 0")
         _check_budget(self)

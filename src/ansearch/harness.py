@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -59,21 +60,21 @@ class ExperimentConfig:
     write_history: bool = False
     f8_narrow_range: bool = False
     # across-neighbourhood search block
-    population_size: int = 20
-    across_degree: int = 1
-    sigma: float = 0.5
-    frozen_superiors: bool = False
+    population_size: int = AnsParams.population_size
+    across_degree: int = AnsParams.across_degree
+    sigma: float = AnsParams.sigma
+    frozen_superiors: bool = AnsParams.frozen_superiors
     n_per_function: Dict[str, int] = field(default_factory=dict)
     # PSO block
-    swarm_size: int = 30
-    inertia: float = 0.7298
-    c1: float = 1.49445
-    c2: float = 1.49445
-    v_max: Optional[float] = None
+    swarm_size: int = PsoParams.swarm_size
+    inertia: float = PsoParams.inertia
+    c1: float = PsoParams.c1
+    c2: float = PsoParams.c2
+    v_max: Optional[float] = PsoParams.v_max
     # DE block
-    de_pop_size: int = 100
-    de_weight: float = 0.5
-    de_crossover: float = 0.9
+    de_pop_size: int = DeParams.pop_size
+    de_weight: float = DeParams.weight
+    de_crossover: float = DeParams.crossover
 
     def budget(self) -> int:
         if self.max_evals is not None:
@@ -158,34 +159,20 @@ def _parse_degree_map(key, text):
     return mapping
 
 
-_KEY_PARSERS = {
-    "algorithm": lambda k, v: v.strip(),
-    "functions": _parse_function_list,
-    "dimensions": _parse_int,
-    "runs": _parse_int,
-    "max_evals": _parse_int,
-    "max_generations": _parse_int,
-    "master_seed": _parse_int,
-    "output_dir": lambda k, v: v.strip(),
-    "boundary_policy": lambda k, v: v.strip(),
-    "finner_mode": lambda k, v: v.strip(),
-    "snapshot_gens": _parse_list,
-    "write_history": _parse_bool,
-    "f8_narrow_range": _parse_bool,
-    "population_size": _parse_int,
-    "across_degree": _parse_int,
-    "sigma": _parse_float,
-    "frozen_superiors": _parse_bool,
-    "n_per_function": _parse_degree_map,
-    "swarm_size": _parse_int,
-    "inertia": _parse_float,
-    "c1": _parse_float,
-    "c2": _parse_float,
-    "v_max": _parse_float,
-    "de_pop_size": _parse_int,
-    "de_weight": _parse_float,
-    "de_crossover": _parse_float,
-}
+def _key_parser(hint):
+    """The parser of a config key, from its ``ExperimentConfig`` field type;
+    ``Optional[X]`` reads as ``X``."""
+    if get_origin(hint) is Union:
+        hint, = (arg for arg in get_args(hint) if arg is not type(None))
+    return {int: _parse_int, float: _parse_float, bool: _parse_bool,
+            str: lambda key, text: text,
+            Tuple[str, ...]: _parse_function_list,
+            Tuple[int, ...]: _parse_list,
+            Dict[str, int]: _parse_degree_map}[hint]
+
+
+_KEY_PARSERS = {name: _key_parser(hint)
+                for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -457,10 +444,15 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
     _write_summary(out_dir, batch.algorithm, [(fid, batch.summaries[fid])
                                                   for fid in config.functions
                                                   if fid in batch.summaries])
-    if batch.failures:
+    _write_failures(out_dir, batch.failures)
+
+
+def _write_failures(out_dir: str, failures: Sequence[Tuple[str, int, str]]) -> None:
+    """``failures.csv``, one row per failed run; none when no run failed."""
+    if failures:
         with open(os.path.join(out_dir, "failures.csv"), "w") as fh:
             fh.write("function,run_index,error\n")
-            for fid, idx, msg in batch.failures:
+            for fid, idx, msg in failures:
                 # One row per failure: no field or line separators in the message.
                 msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
                 fh.write(f"{fid},{idx},{msg}\n")
@@ -479,10 +471,15 @@ class SweepRow:
 
 
 def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
-          workers: int = 1, write_files: bool = True) -> List[SweepRow]:
+          workers: int = 1,
+          write_files: bool = True) -> Tuple[List[SweepRow], List[Tuple[str, int, str]]]:
     """Re-run the batch once per candidate value of one tunable parameter,
     holding everything else (including run seeds) fixed, and mark the best
-    value per function by mean final fitness."""
+    value per function by mean final fitness.
+
+    Returns the rows and the failed runs; a failure's message names its
+    value.  A value none of whose runs of a function completed has no row
+    for that function."""
     if config.algorithm != "ans":
         raise ConfigError("invalid_value", "parameter sweeps apply to the ans algorithm only")
     if parameter not in SWEEPABLE:
@@ -504,16 +501,18 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
         configs.append((value, validate_config(candidate)))
 
     per_value: List[Tuple[float, Dict[str, stats.FunctionSummary]]] = []
+    failures: List[Tuple[str, int, str]] = []
     for value, cfg in configs:
         batch = run_batch(cfg, workers=workers, write_files=False)
         per_value.append((value, batch.summaries))
+        failures += [(fid, idx, f"{parameter} = {_fmt_value(value)}: {msg}")
+                     for fid, idx, msg in batch.failures]
 
     rows: List[SweepRow] = []
     for fid in config.functions:
-        means = [summaries[fid].mean for _, summaries in per_value]
-        best_mean = min(means)
-        for (value, summaries), mean in zip(per_value, means):
-            rows.append(SweepRow(fid, value, summaries[fid], best=(mean == best_mean)))
+        done = [(value, summaries[fid]) for value, summaries in per_value if fid in summaries]
+        best_mean = min((s.mean for _, s in done), default=None)
+        rows += [SweepRow(fid, value, s, best=(s.mean == best_mean)) for value, s in done]
 
     if write_files:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -523,7 +522,8 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
             for row in rows:
                 fh.write(f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
                          f"{int(row.best)}\n")
-    return rows
+        _write_failures(config.output_dir, failures)
+    return rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +598,7 @@ class ComparisonReport:
     adjusted_p: Dict[str, float]                             # peer -> Finner APV
     mean_rank: Dict[str, float]
     overall_rank: Dict[str, int]
+    failures: Dict[str, List[Tuple[str, int, str]]]          # label -> failed runs
 
 
 _PROTOCOL_FIELDS = ("functions", "dimensions", "runs", "master_seed", "boundary_policy",
@@ -610,10 +611,17 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     """Run every config under the identical protocol and report per-function
     rank-sum verdicts against the reference algorithm, the per-peer paired
     signed-rank over per-function means with Finner-adjusted p-values, and
-    mean/overall ranks."""
+    mean/overall ranks.
+
+    Failed runs are left out and listed in ``failures``; a function some
+    algorithm completed fewer than two runs of is left out of the
+    comparison.  When that leaves no function, the report holds only the
+    labels and the failures, and no comparison file is written."""
     if len(configs) < 2:
         raise ConfigError("invalid_value", "compare needs at least two configs")
     base = configs[0]
+    if base.runs < 2:
+        raise ConfigError("invalid_value", "compare needs runs >= 2 for its rank-sum tests")
     for cfg in configs[1:]:
         for fname in _PROTOCOL_FIELDS:
             if getattr(cfg, fname) != getattr(base, fname):
@@ -639,11 +647,14 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
                                    output_dir=os.path.join(out_dir, label),
                                    write_files=write_files)
 
-    function_ids = list(base.functions)
-    for label in labels:
-        failed = [fid for fid in function_ids if fid not in batches[label].summaries]
-        if failed:
-            raise RuntimeError(f"{label} produced no results for {failed}; cannot compare")
+    finals = {lab: {fid: [r.best_fitness for r in batches[lab].results[fid] if r is not None]
+                    for fid in base.functions} for lab in labels}
+    # The rank-sum test needs two completed runs of a function per algorithm.
+    function_ids = [fid for fid in base.functions
+                    if all(len(finals[lab][fid]) >= 2 for lab in labels)]
+    failures = {lab: batches[lab].failures for lab in labels}
+    if not function_ids:   # nothing to compare: no statistics
+        return ComparisonReport(labels, reference, [], {}, {}, {}, {}, {}, {}, {}, failures)
 
     # Per-function ranks across algorithms (ties share the smallest rank).
     summaries: Dict[str, Dict[str, stats.FunctionSummary]] = {lab: {} for lab in labels}
@@ -662,9 +673,7 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
         verdicts[peer] = {}
         tally = {stats.SYMBOL_MINUS: 0, stats.SYMBOL_PLUS: 0, stats.SYMBOL_APPROX: 0}
         for fid in function_ids:
-            ref_finals = [r.best_fitness for r in batches[reference].results[fid] if r is not None]
-            peer_finals = [r.best_fitness for r in batches[peer].results[fid] if r is not None]
-            verdict = stats.wilcoxon_rank_sum(ref_finals, peer_finals)
+            verdict = stats.wilcoxon_rank_sum(finals[reference][fid], finals[peer][fid])
             verdicts[peer][fid] = verdict
             tally[verdict.symbol] += 1
         tallies[peer] = tally
@@ -683,7 +692,8 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     report = ComparisonReport(labels=labels, reference=reference, function_ids=function_ids,
                               summaries=summaries, verdicts=verdicts, tallies=tallies,
                               signed_rank_p=signed_p, adjusted_p=adjusted_p,
-                              mean_rank=mean_rank, overall_rank=overall_rank)
+                              mean_rank=mean_rank, overall_rank=overall_rank,
+                              failures=failures)
     if write_files:
         write_comparison_files(report, out_dir)
     return report

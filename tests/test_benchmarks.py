@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ansearch.benchmarks import (FUNCTION_IDS, ROTATION_BASE, SPECS, _penalty_sum, ackley,
+from ansearch.benchmarks import (FUNCTION_IDS, SPECS, _penalty_sum, ackley,
                                  griewank, load_rotation_matrix, make_problem,
                                  make_rotation_matrix, noise_quadric, optimum_point,
                                  rastrigin, rosenbrock, save_rotation_matrix,
-                                 schwefel_2_21, schwefel_2_22, step, default_suite)
+                                 schwefel_2_21, schwefel_2_22, step)
 from ansearch.core import RngStream
 
 # Search ranges as published, one entry per function.
@@ -17,6 +17,9 @@ EXPECTED_RANGES = {
     "f13": (-500.0, 500.0), "f14": (-2.048, 2.048), "f15": (-10.0, 10.0),
     "f16": (-5.12, 5.12), "f17": (-32.0, 32.0), "f18": (-600.0, 600.0),
 }
+
+# f13..f18 are rotations of these base functions.
+ROTATION_BASE = {"f13": "f1", "f14": "f2", "f15": "f3", "f16": "f7", "f17": "f9", "f18": "f10"}
 
 NON_NEGATIVE_IDS = ["f1", "f3", "f4", "f5", "f7", "f8", "f9", "f10",
                     "f13", "f15", "f16", "f17", "f18"]
@@ -30,13 +33,18 @@ def build(fid, dim, seed=7, **kw):
 
 
 def test_suite_covers_all_18_functions_with_published_ranges():
-    specs = default_suite()
-    assert [s.id for s in specs] == list(FUNCTION_IDS)
-    for s in specs:
+    assert FUNCTION_IDS == tuple(f"f{i}" for i in range(1, 19))
+    assert [s.id for s in SPECS.values()] == list(FUNCTION_IDS)
+    for s in SPECS.values():
         assert (s.lo, s.hi) == EXPECTED_RANGES[s.id]
-        assert s.is_noisy == (s.id == "f6")
         assert s.is_rotated == (s.id in ROTATION_BASE)
         assert s.base_id == ROTATION_BASE.get(s.id)
+    # Only f6 is noisy: only its value depends on the rows' streams.
+    x = np.full((1, 4), 0.3)
+    for fid in FUNCTION_IDS:
+        problem = build(fid, 4)
+        values = {float(problem.evaluate(x, [RngStream(seed)])[0]) for seed in (1, 2)}
+        assert (len(values) == 2) == (fid == "f6"), fid
 
 
 def test_optimum_certificates_all_functions():
@@ -187,6 +195,11 @@ def test_make_problem_validation():
     rm = make_rotation_matrix(4, seed=1)
     with pytest.raises(ValueError):
         make_problem("f13", 5, rotation=rm)  # dimension mismatch
+    # An unrotated id refuses a rotation instead of dropping it.
+    with pytest.raises(ValueError):
+        make_problem("f1", 3, rotation=make_rotation_matrix(3, seed=7))
+    with pytest.raises(ValueError):
+        make_problem("f1", 3, rotation_seed=5)
 
 
 def test_f8_range_default_and_override():

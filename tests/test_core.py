@@ -130,11 +130,7 @@ def test_problem_rejects_dimension_mismatch():
 
 
 def test_problem_rotation_consistency_checks():
-    with pytest.raises(ValueError):
-        ObjectiveProblem("f13", SearchBounds(-500, 500, 3), lambda x, r: 0.0, rotation=None)
-    with pytest.raises(ValueError):
-        ObjectiveProblem("f1", SearchBounds(-500, 500, 3), lambda x, r: 0.0,
-                         rotation=np.eye(3))
+    # Which ids need a rotation is make_problem's check (test_benchmarks).
     skewed = np.eye(3)
     skewed[0, 1] = 1e-3
     with pytest.raises(ValueError):

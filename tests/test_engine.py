@@ -27,6 +27,10 @@ def test_params_validation():
             make_params(sigma=sigma)
     with pytest.raises(ValueError):
         make_params(across_degree=-1)
+    # A lone individual has no peer to borrow from.
+    with pytest.raises(ValueError):
+        make_params(population_size=1, across_degree=1)
+    make_params(population_size=1, across_degree=0)
     # The superior pool is always one memory per individual: no separate
     # superior_count parameter exists.
     with pytest.raises(TypeError):

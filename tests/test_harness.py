@@ -1,6 +1,6 @@
 import hashlib
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,18 @@ def test_config_error_codes(tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config_text("functions = f1\ndimensions = 5\n" + extra)
         assert err.value.code == "invalid_value", extra
+
+
+def test_readme_config_keys_table_names_every_config_field():
+    # Each key is read off its ExperimentConfig field; the README table
+    # must name exactly those keys.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    keys = [key.strip().strip("`") for line in section.splitlines()
+            if line.startswith("| `") for key in line.split("|")[1].split(",")]
+    assert sorted(keys) == sorted(f.name for f in fields(harness.ExperimentConfig))
+    assert set(harness._KEY_PARSERS) == set(keys)
 
 
 def test_config_comments_and_blank_lines():
@@ -251,7 +263,7 @@ def test_run_batch_records_failures_and_continues(tmp_path, monkeypatch):
     def boom(x):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(benchmarks._BASE_EVALUATORS, "f1", boom)
+    monkeypatch.setitem(benchmarks.SPECS, "f1", replace(benchmarks.SPECS["f1"], function=boom))
     config = tiny_config(tmp_path)
     batch = run_batch(config)
     assert len(batch.failures) == 3
@@ -371,7 +383,7 @@ def test_recompute_summaries_skips_functions_whose_runs_all_failed(tmp_path, mon
     def boom(x):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(benchmarks._BASE_EVALUATORS, "f1", boom)
+    monkeypatch.setitem(benchmarks.SPECS, "f1", replace(benchmarks.SPECS["f1"], function=boom))
     config = tiny_config(tmp_path)
     run_batch(config)
     out = config.output_dir
@@ -401,7 +413,8 @@ def test_recompute_summaries_round_trip(tmp_path):
 
 def test_sweep_marks_best_value(tmp_path):
     config = tiny_config(tmp_path, functions=("f1",), max_evals=600)
-    rows = sweep(config, "sigma", [0.5, 12.0])
+    rows, failures = sweep(config, "sigma", [0.5, 12.0])
+    assert failures == []
     assert [r.value for r in rows] == [0.5, 12.0]
     assert rows[0].best and not rows[1].best
     with open(os.path.join(config.output_dir, "sweep_sigma.csv")) as fh:
@@ -433,13 +446,13 @@ def test_sweep_rejects_invalid_values_before_running(tmp_path):
 def test_sweep_n_overrides_per_function_map(tmp_path):
     config = tiny_config(tmp_path, functions=("f1",), n_per_function={"f1": 3},
                          max_evals=200, runs=2)
-    rows = sweep(config, "n", [0, 2])
+    rows, _ = sweep(config, "n", [0, 2])
     assert {r.value for r in rows} == {0, 2}
 
 
 def test_sweep_population_size(tmp_path):
     config = tiny_config(tmp_path, functions=("f5",), max_evals=300, runs=2)
-    rows = sweep(config, "m", [5, 10])
+    rows, _ = sweep(config, "m", [5, 10])
     assert len(rows) == 2
 
 
@@ -553,6 +566,11 @@ def test_compare_rejects_protocol_mismatch(tmp_path):
         compare([config])
     with pytest.raises(ConfigError):
         compare([config, config], reference="pso")
+    # The rank-sum test needs two runs per algorithm.
+    with pytest.raises(ConfigError) as err:
+        compare([replace(config, runs=1)] * 2)
+    assert err.value.code == "invalid_value"
+    assert not os.path.exists(config.output_dir)
 
 
 def test_compare_shares_rotation_across_algorithms(tmp_path):
@@ -677,13 +695,23 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
                                        f"max_evals = 60\noutput_dir = {tmp_path / 't'}\n",
                              "tr.cfg")
     sweep_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s"), "sw.cfg")
-    # Malformed or non-integer list arguments, before anything runs.
+    # population_size = 1 leaves no peer for an across-search degree >= 1,
+    # also when only n_per_function asks for one.
+    lone_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s") + "population_size = 1\n",
+                            "lone.cfg")
+    lone_n_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s") + "population_size = 1\n"
+                              "across_degree = 0\nn_per_function = f5:1\n", "lone_n.cfg")
+    # Malformed or non-integer list arguments and invalid values, before
+    # anything runs.
     for argv in (["trace", str(trace_cfg), "--gens=-1,0"],
                  ["trace", str(trace_cfg), "--gens", "a"],
                  ["sweep", str(sweep_cfg), "--param", "sigma", "--values", "x"],
                  ["sweep", str(sweep_cfg), "--param", "m", "--values", "nan"],
                  ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,inf"],
-                 ["sweep", str(sweep_cfg), "--param", "n", "--values", "1.5"]):
+                 ["sweep", str(sweep_cfg), "--param", "n", "--values", "1.5"],
+                 ["sweep", str(sweep_cfg), "--param", "m", "--values", "1,5"],
+                 ["run", str(lone_cfg)],
+                 ["run", str(lone_n_cfg)]):
         assert cli.main(argv) == 2, argv
         assert "invalid_value" in capsys.readouterr().err, argv
     assert not (tmp_path / "t").exists() and not (tmp_path / "s").exists()
@@ -695,10 +723,75 @@ def test_cli_exit_code_on_run_failure(tmp_path, monkeypatch, capsys):
     def boom(x):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(benchmarks._BASE_EVALUATORS, "f5", boom)
+    monkeypatch.setitem(benchmarks.SPECS, "f5", replace(benchmarks.SPECS["f5"], function=boom))
     path = write_config(tmp_path, TINY.format(out=tmp_path / "fail_out"))
     assert cli.main(["run", str(path)]) == 1
-    assert "FAILED" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAILED ans f5 run {idx}: RuntimeError: synthetic failure" for idx in range(3)]
+
+
+def fail_jobs(monkeypatch, fails, chunks=1):
+    """Make every job ``fails(job)`` picks raise, and split each function's
+    runs into ``chunks`` jobs."""
+    execute_job, make_jobs = harness.execute_job, harness._make_jobs
+
+    def flaky(job):
+        if fails(job):
+            raise RuntimeError("synthetic failure")
+        return execute_job(job)
+
+    monkeypatch.setattr(harness, "execute_job", flaky)
+    monkeypatch.setattr(harness, "_make_jobs", lambda config, _: make_jobs(config, chunks))
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("failed_fids,chunks", [(("f5",), 1), (("f5",), 2), (("f1", "f5"), 1)])
+def test_cli_compare_reports_failed_runs(tmp_path, monkeypatch, capsys, failed_fids, chunks):
+    # The chunk holding de's run 0 of a function fails: all four runs (one
+    # chunk) or runs 0 and 1 (two chunks).
+    fail_jobs(monkeypatch, lambda job: job.algorithm == "de" and 0 in job.run_indices
+              and job.function_id in failed_fids, chunks)
+    failed_runs = range(4) if chunks == 1 else range(2)
+    base = TINY.format(out=tmp_path / "unused").replace("runs = 3", "runs = 4")
+    ans_cfg = write_config(tmp_path, base, "ans.cfg")
+    de_cfg = write_config(tmp_path, base.replace("algorithm = ans", "algorithm = de"), "de.cfg")
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", str(ans_cfg), str(de_cfg), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"FAILED de {fid} run {idx}: RuntimeError: synthetic failure"
+        for fid in failed_fids for idx in failed_runs]
+    assert read_lines(out / "de" / "failures.csv")[1:] == [
+        f"{fid},{idx},RuntimeError: synthetic failure"
+        for fid in failed_fids for idx in failed_runs]
+    assert not (out / "ans" / "failures.csv").exists()
+    # A function is compared only when de completed two runs of it.
+    compared = {fid for fid in ("f1", "f5") if fid not in failed_fids or chunks == 2}
+    if compared:
+        rows = read_lines(out / "comparison.csv")[1:]
+        assert {row.split(",")[0] for row in rows} == compared
+        assert "signed-rank" in captured.out
+    else:
+        assert not (out / "comparison.csv").exists() and captured.out == ""
+
+
+def test_cli_sweep_reports_failed_runs(tmp_path, monkeypatch, capsys):
+    fail_jobs(monkeypatch, lambda job: job.function_id == "f1" and job.config.sigma == 0.6)
+    out = tmp_path / "sw"
+    path = write_config(tmp_path, TINY.format(out=out))
+    assert cli.main(["sweep", str(path), "--param", "sigma", "--values", "0.4,0.6"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAILED ans f1 run {idx}: sigma = 0.6: RuntimeError: synthetic failure"
+        for idx in range(3)]
+    assert len(read_lines(out / "failures.csv")) == 4
+    # f1 has no row at the value none of its runs completed.
+    rows = [line.split(",") for line in read_lines(out / "sweep_sigma.csv")[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("f1", "0.4"), ("f5", "0.4"), ("f5", "0.6")]
+    assert rows[0][-1] == "1"
 
 
 def test_cli_sweep_trace_compare(tmp_path, capsys):
