@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import ObjectiveProblem, RngStream, SearchBounds
+from .core import ORTHOGONALITY_TOL, ObjectiveProblem, RngStream, SearchBounds
 
 TWO_PI = 2.0 * np.pi
 
@@ -186,8 +186,7 @@ FUNCTION_IDS = tuple(SPECS)
 # ---------------------------------------------------------------------------
 
 _ROTATION_TAG = 0x526F74  # fixed entropy word separating rotation streams
-
-ORTHOGONALITY_TOL = 1e-10
+_ROTATION_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -197,15 +196,16 @@ class RotationMatrix:
     dim: int
 
 
-def make_rotation_matrix(dim: int, seed: int, max_attempts: int = 5) -> RotationMatrix:
+def make_rotation_matrix(dim: int, seed: int) -> RotationMatrix:
     """Random orthogonal matrix: QR of a square standard-Gaussian draw.
 
     The signs of R's diagonal are folded into Q so the factorization is
-    unique.  A numerically degenerate draw is retried on a fresh substream.
+    unique.  A numerically degenerate draw is retried on a fresh substream,
+    up to ``_ROTATION_ATTEMPTS`` draws in all.
     """
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
-    for attempt in range(max_attempts):
+    for attempt in range(_ROTATION_ATTEMPTS):
         rng = RngStream((_ROTATION_TAG, seed, attempt))
         a = rng.standard_gaussian((dim, dim))
         q, r = np.linalg.qr(a)
@@ -214,7 +214,7 @@ def make_rotation_matrix(dim: int, seed: int, max_attempts: int = 5) -> Rotation
         q = q * signs
         if np.max(np.abs(q.T @ q - np.eye(dim))) < ORTHOGONALITY_TOL:
             return RotationMatrix(matrix=q, seed=seed, dim=dim)
-    raise RuntimeError(f"could not build an orthogonal matrix after {max_attempts} attempts")
+    raise RuntimeError(f"could not build an orthogonal matrix after {_ROTATION_ATTEMPTS} attempts")
 
 
 def save_rotation_matrix(path, rm: RotationMatrix) -> None:
@@ -244,12 +244,11 @@ def load_rotation_matrix(path) -> RotationMatrix:
 # ---------------------------------------------------------------------------
 
 def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] = None,
-                 rotation_seed: Optional[int] = None,
                  f8_narrow_range: bool = False, boundary: str = "clamp") -> ObjectiveProblem:
     """Bind a benchmark spec to a dimensionality and to the boundary policy
     (``clamp`` or ``none``, see :class:`SearchBounds`).  A rotated id needs
-    ``rotation`` or a ``rotation_seed`` to build it from; an unrotated id
-    takes neither."""
+    its ``rotation`` matrix (see :func:`make_rotation_matrix`); an unrotated
+    id refuses one."""
     if function_id not in SPECS:
         raise ValueError(f"unknown function id {function_id!r}")
     spec = SPECS[function_id]
@@ -260,7 +259,7 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
     fn = spec.function
 
     if not spec.is_rotated:
-        if rotation is not None or rotation_seed is not None:
+        if rotation is not None:
             raise ValueError(f"{function_id} is not rotated; it takes no rotation")
         if function_id == "f6":
             evaluator = fn   # draws its noise from the rows' streams
@@ -269,9 +268,7 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
         return ObjectiveProblem(function_id=function_id, bounds=bounds, evaluator=evaluator)
 
     if rotation is None:
-        if rotation_seed is None:
-            raise ValueError(f"{function_id} needs a rotation matrix or a rotation seed")
-        rotation = make_rotation_matrix(dim, rotation_seed)
+        raise ValueError(f"{function_id} needs a rotation matrix")
     if rotation.dim != dim:
         raise ValueError(f"rotation matrix is {rotation.dim}-D, problem is {dim}-D")
 

@@ -12,8 +12,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
 BOUNDARY_POLICIES = ("clamp", "none")
+ORTHOGONALITY_TOL = 1e-10   # max |M^T M - I| of a rotation matrix
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,12 @@ class RngStream:
     """Deterministic random stream (PCG64) with a fixed draw vocabulary.
 
     All consumers use only the methods below, in a documented per-operation
-    order, so a run is bit-reproducible from its seed.  ``seed`` may be a
-    plain integer or a tuple of integers (entropy words).
+    order, so a run is bit-reproducible from its seed.  ``seed`` is a plain
+    integer or a tuple of integers (entropy words).
     """
 
-    def __init__(self, seed: SeedLike):
-        if isinstance(seed, np.random.SeedSequence):
-            sequence = seed
-        else:
-            sequence = np.random.SeedSequence(seed)
-        self.seed = seed
-        self.generator = np.random.Generator(np.random.PCG64(sequence))
+    def __init__(self, seed: Union[int, Sequence[int]]):
+        self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def uniform(self, lo: float, hi: float, size=None):
         return self.generator.uniform(lo, hi, size)
@@ -104,7 +99,7 @@ class ObjectiveProblem:
     def __post_init__(self):
         if self.rotation is not None:
             err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.bounds.dim)))
-            if err > 1e-10:
+            if err > ORTHOGONALITY_TOL:
                 raise ValueError(f"rotation matrix is not orthogonal (max |M^T M - I| = {err:.3e})")
 
     def evaluate(self, x: np.ndarray,

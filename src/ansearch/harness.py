@@ -13,8 +13,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from functools import partial
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -124,18 +125,6 @@ def _parse_bool(key, text):
     raise ConfigError("invalid_value", f"{key}: expected true/false, got {text!r}")
 
 
-def _parse_function_list(key, text):
-    ids = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not ids:
-        raise ConfigError("invalid_value", f"{key}: empty function list")
-    for i, fid in enumerate(ids):
-        if fid not in SPECS:
-            raise ConfigError("invalid_value", f"{key}: unknown function id {fid!r}")
-        if fid in ids[:i]:
-            raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
-    return ids
-
-
 def _parse_list(key, text, parse=_parse_int):
     """Comma-separated values, each read by ``parse(key, text)``."""
     return tuple(parse(key, part.strip()) for part in text.split(",") if part.strip())
@@ -151,9 +140,7 @@ def _parse_degree_map(key, text):
             raise ConfigError("invalid_value", f"{key}: entries must look like f1:28, got {part!r}")
         fid, val = part.split(":", 1)
         fid = fid.strip()
-        if fid not in SPECS:
-            raise ConfigError("invalid_value", f"{key}: unknown function id {fid!r}")
-        if fid in mapping:
+        if fid in mapping:   # a dict keeps only the last entry of an id
             raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
         mapping[fid] = _parse_int(key, val.strip())
     return mapping
@@ -161,14 +148,13 @@ def _parse_degree_map(key, text):
 
 def _key_parser(hint):
     """The parser of a config key, from its ``ExperimentConfig`` field type;
-    ``Optional[X]`` reads as ``X``."""
+    ``Optional[X]`` reads as ``X``, ``Tuple[X, ...]`` as comma-separated X."""
     if get_origin(hint) is Union:
         hint, = (arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is tuple:
+        return partial(_parse_list, parse=_key_parser(get_args(hint)[0]))
     return {int: _parse_int, float: _parse_float, bool: _parse_bool,
-            str: lambda key, text: text,
-            Tuple[str, ...]: _parse_function_list,
-            Tuple[int, ...]: _parse_list,
-            Dict[str, int]: _parse_degree_map}[hint]
+            str: lambda key, text: text, Dict[str, int]: _parse_degree_map}[hint]
 
 
 _KEY_PARSERS = {name: _key_parser(hint)
@@ -181,20 +167,29 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                                            f"got {config.algorithm!r}")
     if not config.functions:
         raise ConfigError("invalid_value", "functions: at least one function id is required")
+    for i, fid in enumerate(config.functions):
+        if fid not in SPECS:
+            raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
+        if fid in config.functions[:i]:
+            raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
     if config.dimensions < 1:
         raise ConfigError("invalid_value", "dimensions must be >= 1")
     if config.runs < 1:
         raise ConfigError("invalid_value", "runs must be >= 1")
+    if config.master_seed < 0:
+        raise ConfigError("invalid_value", f"master_seed must be >= 0, got {config.master_seed}")
     if config.boundary_policy not in BOUNDARY_POLICIES:
         raise ConfigError("invalid_value", f"boundary_policy must be clamp or none, "
                                            f"got {config.boundary_policy!r}")
-    if config.finner_mode not in ("step_down", "single_step"):
-        raise ConfigError("invalid_value", f"finner_mode must be step_down or single_step, "
+    if config.finner_mode not in stats.FINNER_MODES:
+        raise ConfigError("invalid_value", f"finner_mode must be one of {stats.FINNER_MODES}, "
                                            f"got {config.finner_mode!r}")
     if not 0 <= config.across_degree <= config.dimensions:
         raise ConfigError("invalid_value", f"across_degree {config.across_degree} outside "
                                            f"[0, {config.dimensions}]")
     for fid, n in config.n_per_function.items():
+        if fid not in SPECS:
+            raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
         if not 0 <= n <= config.dimensions:
             raise ConfigError("invalid_value", f"n_per_function[{fid}] = {n} outside "
                                                f"[0, {config.dimensions}]")
@@ -264,11 +259,12 @@ def derive_rotation_seed(master_seed: int, function_id: str) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _rotation_seed(config: ExperimentConfig, function_id: str) -> Optional[int]:
-    """The function's rotation seed in this experiment; None when unrotated."""
+def _rotation(config: ExperimentConfig, function_id: str) -> Optional[benchmarks.RotationMatrix]:
+    """The function's rotation matrix in this experiment; None when unrotated."""
     if not SPECS[function_id].is_rotated:
         return None
-    return derive_rotation_seed(config.master_seed, function_id)
+    return make_rotation_matrix(config.dimensions,
+                                derive_rotation_seed(config.master_seed, function_id))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ class Job:
         """The problem, the params and the run seeds of this job."""
         config, fid = self.config, self.function_id
         problem = benchmarks.make_problem(fid, config.dimensions,
-                                          rotation_seed=_rotation_seed(config, fid),
+                                          rotation=_rotation(config, fid),
                                           f8_narrow_range=config.f8_narrow_range,
                                           boundary=config.boundary_policy)
         seeds = [derive_run_seed(config.master_seed, config.algorithm, fid, idx)
@@ -306,14 +302,13 @@ def execute_job(job: Job) -> RunBatch:
     return run_fn(*job.inputs())
 
 
-def _safe_execute(job: Job):
-    """(function, run_index, result, error) per run of the job; a failure
-    fails every run of its chunk."""
+def _safe_execute(job: Job) -> Tuple[List[Optional[RunResult]], Optional[str]]:
+    """The job's runs and None, or, when the job failed, None per run and
+    the error: a failure fails every run of its chunk."""
     try:
-        results, err = execute_job(job).runs, None
+        return execute_job(job).runs, None
     except Exception as exc:  # recorded, batch continues
-        results, err = [None] * len(job.run_indices), f"{type(exc).__name__}: {exc}"
-    return [(job.function_id, idx, res, err) for idx, res in zip(job.run_indices, results)]
+        return [None] * len(job.run_indices), f"{type(exc).__name__}: {exc}"
 
 
 def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
@@ -322,20 +317,6 @@ def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
     return [Job(config, fid, tuple(int(idx) for idx in part))
             for fid in config.functions
             for part in np.array_split(np.arange(config.runs), min(chunks, config.runs))]
-
-
-def _run_jobs(config: ExperimentConfig, workers: int):
-    # More workers than cores or jobs would only add idle processes; each
-    # worker gets one chunk of every function's runs.
-    workers = min(workers, os.cpu_count() or 1)
-    jobs = _make_jobs(config, max(workers, 1))
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        chunks = [_safe_execute(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_safe_execute, jobs))
-    return [outcome for chunk in chunks for outcome in chunk]
 
 
 @dataclass
@@ -351,25 +332,38 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     """Execute runs x functions, summarize, and write report files.
 
     Output is deterministic for a fixed config + master_seed: every run
-    carries its derived seed and results are re-sorted by (function,
-    run_index) before aggregation, so neither the worker count nor the
-    chunking of runs into jobs changes any byte of output.
+    carries its derived seed and the runs are gathered in job order, which
+    is (function, run_index) order, so neither the worker count nor the
+    chunking of runs into jobs changes any byte of output.  The output
+    directory is made before the first run.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
-    outcomes = _run_jobs(validate_config(config), workers)
-    by_key = {(fid, idx): (res, err) for fid, idx, res, err in outcomes}
+    validate_config(config)
+    if write_files:
+        _make_output_dirs(out_dir)
+    # More workers than cores or jobs would only add idle processes; each
+    # worker gets one chunk of every function's runs.
+    workers = min(workers, os.cpu_count() or 1)
+    jobs = _make_jobs(config, max(workers, 1))
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        outcomes = [_safe_execute(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_safe_execute, jobs))
 
-    results: Dict[str, List[Optional[RunResult]]] = {}
+    results: Dict[str, List[Optional[RunResult]]] = {fid: [] for fid in config.functions}
     failures: List[Tuple[str, int, str]] = []
+    # _make_jobs lists each function's chunks contiguously in ascending run
+    # order, and pool.map keeps job order, so appending each job's runs puts
+    # every function's runs, and the failures, in run-index order.
+    for job, (runs, err) in zip(jobs, outcomes):
+        results[job.function_id] += runs
+        if err is not None:
+            failures += [(job.function_id, idx, err) for idx in job.run_indices]
+
     summaries: Dict[str, stats.FunctionSummary] = {}
-    for fid in config.functions:
-        rows: List[Optional[RunResult]] = []
-        for idx in range(config.runs):
-            res, err = by_key[(fid, idx)]
-            if err is not None:
-                failures.append((fid, idx, err))
-            rows.append(res)
-        results[fid] = rows
+    for fid, rows in results.items():
         done = [r for r in rows if r is not None]
         if done:
             summaries[fid] = stats.summarize([r.best_fitness for r in done],
@@ -402,45 +396,56 @@ def _fmt_value(value: float) -> str:
 _RESULTS_HEADER = "run_index,seed,final_fitness,evals_to_success,evals_used"
 
 
+def _make_output_dirs(*paths: str) -> None:
+    """Make the directories a command writes in, before its first run; one
+    that cannot be made is an ``invalid_value`` :class:`ConfigError`."""
+    try:
+        for path in paths:
+            os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("invalid_value", f"cannot make output directory: {exc}") from None
+
+
+def _write_table(path: str, header: str, lines: Iterable[str]) -> None:
+    """One CSV report: the header line, then one line per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def results_file(out_dir: str, algorithm: str, function_id: str) -> str:
     return os.path.join(out_dir, f"results_{algorithm}_{function_id}.csv")
 
 
-def summary_file(out_dir: str, algorithm: str) -> str:
-    return os.path.join(out_dir, f"summary_{algorithm}.csv")
-
-
 def _write_summary(out_dir: str, algorithm: str,
                    rows: Sequence[Tuple[str, stats.FunctionSummary]]) -> None:
-    with open(summary_file(out_dir, algorithm), "w") as fh:
-        fh.write("function,mean,std,nfe,sr,rank\n")
-        for fid, s in rows:
-            fh.write(f"{fid},{_fmt_summary(s)},{s.rank}\n")
+    lines = []
+    for fid, s in rows:
+        lines.append(f"{fid},{_fmt_summary(s)},{s.rank}")
+    _write_table(os.path.join(out_dir, f"summary_{algorithm}.csv"),
+                 "function,mean,std,nfe,sr,rank", lines)
 
 
 def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     for fid in config.functions:
-        seed = _rotation_seed(config, fid)
-        if seed is not None:
+        rotation = _rotation(config, fid)
+        if rotation is not None:
             path = os.path.join(out_dir, f"rotation_{fid}_D{config.dimensions}.txt")
-            save_rotation_matrix(path, make_rotation_matrix(config.dimensions, seed))
-        with open(results_file(out_dir, batch.algorithm, fid), "w") as fh:
-            fh.write(_RESULTS_HEADER + "\n")
-            for idx, res in enumerate(batch.results[fid]):
-                if res is None:
-                    continue
-                nfe = "" if res.evals_to_success is None else str(res.evals_to_success)
-                fh.write(f"{idx},{res.seed},{res.best_fitness!r},{nfe},{res.evals_used}\n")
-        if config.write_history:
-            for idx, res in enumerate(batch.results[fid]):
-                if res is None:
-                    continue
-                hist_path = os.path.join(out_dir, f"history_{batch.algorithm}_{fid}_run{idx}.csv")
-                with open(hist_path, "w") as fh:
-                    fh.write("evals_used,global_best_fitness\n")
-                    for evals, fit in res.history:
-                        fh.write(f"{evals},{fit!r}\n")
+            save_rotation_matrix(path, rotation)
+        lines = []
+        for idx, res in enumerate(batch.results[fid]):
+            if res is None:
+                continue
+            nfe = "" if res.evals_to_success is None else str(res.evals_to_success)
+            lines.append(f"{idx},{res.seed},{res.best_fitness!r},{nfe},{res.evals_used}")
+            if config.write_history:
+                history = []
+                for evals, fit in res.history:
+                    history.append(f"{evals},{fit!r}")
+                _write_table(os.path.join(out_dir, f"history_{batch.algorithm}_{fid}_run{idx}.csv"),
+                             "evals_used,global_best_fitness", history)
+        _write_table(results_file(out_dir, batch.algorithm, fid), _RESULTS_HEADER, lines)
     _write_summary(out_dir, batch.algorithm, [(fid, batch.summaries[fid])
                                                   for fid in config.functions
                                                   if fid in batch.summaries])
@@ -450,12 +455,12 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
 def _write_failures(out_dir: str, failures: Sequence[Tuple[str, int, str]]) -> None:
     """``failures.csv``, one row per failed run; none when no run failed."""
     if failures:
-        with open(os.path.join(out_dir, "failures.csv"), "w") as fh:
-            fh.write("function,run_index,error\n")
-            for fid, idx, msg in failures:
-                # One row per failure: no field or line separators in the message.
-                msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
-                fh.write(f"{fid},{idx},{msg}\n")
+        lines = []
+        for fid, idx, msg in failures:
+            # One row per failure: no field or line separators in the message.
+            msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
+            lines.append(f"{fid},{idx},{msg}")
+        _write_table(os.path.join(out_dir, "failures.csv"), "function,run_index,error", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +476,14 @@ class SweepRow:
 
 
 def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
-          workers: int = 1,
-          write_files: bool = True) -> Tuple[List[SweepRow], List[Tuple[str, int, str]]]:
+          workers: int = 1) -> Tuple[List[SweepRow], List[Tuple[str, int, str]]]:
     """Re-run the batch once per candidate value of one tunable parameter,
     holding everything else (including run seeds) fixed, and mark the best
     value per function by mean final fitness.
 
     Returns the rows and the failed runs; a failure's message names its
     value.  A value none of whose runs of a function completed has no row
-    for that function."""
+    for that function.  A repeated value is an error."""
     if config.algorithm != "ans":
         raise ConfigError("invalid_value", "parameter sweeps apply to the ans algorithm only")
     if parameter not in SWEEPABLE:
@@ -494,11 +498,14 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
             if not float(value).is_integer():   # also rejects nan and inf
                 raise ConfigError("invalid_value", f"{parameter} values must be integers")
             value = int(value)
+        if any(value == taken for taken, _ in configs):
+            raise ConfigError("invalid_value", f"{parameter} value {_fmt_value(value)} is repeated")
         overrides = {field_name: value}
         if parameter == "n":
             overrides["n_per_function"] = {}  # the swept value applies to every function
         candidate = replace(config, **overrides)
         configs.append((value, validate_config(candidate)))
+    _make_output_dirs(config.output_dir)
 
     per_value: List[Tuple[float, Dict[str, stats.FunctionSummary]]] = []
     failures: List[Tuple[str, int, str]] = []
@@ -514,15 +521,13 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
         best_mean = min((s.mean for _, s in done), default=None)
         rows += [SweepRow(fid, value, s, best=(s.mean == best_mean)) for value, s in done]
 
-    if write_files:
-        os.makedirs(config.output_dir, exist_ok=True)
-        path = os.path.join(config.output_dir, f"sweep_{parameter}.csv")
-        with open(path, "w") as fh:
-            fh.write(f"function,{parameter},mean,std,nfe,sr,best\n")
-            for row in rows:
-                fh.write(f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
-                         f"{int(row.best)}\n")
-        _write_failures(config.output_dir, failures)
+    lines = []
+    for row in rows:
+        lines.append(f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
+                     f"{int(row.best)}")
+    _write_table(os.path.join(config.output_dir, f"sweep_{parameter}.csv"),
+                 f"function,{parameter},mean,std,nfe,sr,best", lines)
+    _write_failures(config.output_dir, failures)
     return rows, failures
 
 
@@ -537,8 +542,8 @@ class Snapshot:
     superiors: np.ndarray  # (m, D)
 
 
-def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
-          write_files: bool = True) -> Tuple[RunResult, List[Snapshot], List[str]]:
+def trace(config: ExperimentConfig,
+          gens: Optional[Sequence[int]] = None) -> Tuple[RunResult, List[Snapshot], List[str]]:
     """Single seeded run (run 0 of the batch) capturing population snapshots
     at the requested generations (generation 0 is the initial population).
     Snapshots beyond the run's termination are skipped with a warning."""
@@ -551,6 +556,8 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
     _check_snapshot_gens(snapshot_gens)
     if len(config.functions) != 1:
         raise ConfigError("invalid_value", "trace expects exactly one function")
+    validate_config(config)
+    _make_output_dirs(config.output_dir)
     wanted = set(snapshot_gens)
     snapshots: List[Snapshot] = []
 
@@ -567,18 +574,15 @@ def trace(config: ExperimentConfig, gens: Optional[Sequence[int]] = None,
                 f"(run ended at generation {result.generations})"
                 for g in sorted(wanted) if g not in captured]
 
-    if write_files:
-        os.makedirs(config.output_dir, exist_ok=True)
-        dim = config.dimensions
-        coords = ",".join(f"x{i + 1}" for i in range(dim))
-        for snap in snapshots:
-            path = os.path.join(config.output_dir, f"trace_gen{snap.generation}.csv")
-            with open(path, "w") as fh:
-                fh.write(f"generation,kind,index,{coords}\n")
-                for kind, block in (("individual", snap.positions), ("superior", snap.superiors)):
-                    for idx, row in enumerate(block):
-                        vals = ",".join(repr(float(v)) for v in row)
-                        fh.write(f"{snap.generation},{kind},{idx},{vals}\n")
+    coords = ",".join(f"x{i + 1}" for i in range(config.dimensions))
+    for snap in snapshots:
+        lines = []
+        for kind, block in (("individual", snap.positions), ("superior", snap.superiors)):
+            for idx, row in enumerate(block):
+                vals = ",".join(repr(float(v)) for v in row)
+                lines.append(f"{snap.generation},{kind},{idx},{vals}")
+        _write_table(os.path.join(config.output_dir, f"trace_gen{snap.generation}.csv"),
+                     f"generation,kind,index,{coords}", lines)
     return result, snapshots, warnings
 
 
@@ -606,8 +610,7 @@ _PROTOCOL_FIELDS = ("functions", "dimensions", "runs", "master_seed", "boundary_
 
 
 def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
-            workers: int = 1, output_dir: Optional[str] = None,
-            write_files: bool = True) -> ComparisonReport:
+            workers: int = 1, output_dir: Optional[str] = None) -> ComparisonReport:
     """Run every config under the identical protocol and report per-function
     rank-sum verdicts against the reference algorithm, the per-peer paired
     signed-rank over per-function means with Finner-adjusted p-values, and
@@ -622,7 +625,8 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     base = configs[0]
     if base.runs < 2:
         raise ConfigError("invalid_value", "compare needs runs >= 2 for its rank-sum tests")
-    for cfg in configs[1:]:
+    for cfg in configs:
+        validate_config(cfg)
         for fname in _PROTOCOL_FIELDS:
             if getattr(cfg, fname) != getattr(base, fname):
                 raise ConfigError("protocol_mismatch",
@@ -641,11 +645,11 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
         raise ConfigError("invalid_value", f"reference {reference!r} not among {labels}")
 
     out_dir = output_dir if output_dir is not None else base.output_dir
+    label_dirs = [os.path.join(out_dir, label) for label in labels]
+    _make_output_dirs(out_dir, *label_dirs)
     batches: Dict[str, BatchResult] = {}
-    for label, cfg in zip(labels, configs):
-        batches[label] = run_batch(cfg, workers=workers,
-                                   output_dir=os.path.join(out_dir, label),
-                                   write_files=write_files)
+    for label, cfg, label_dir in zip(labels, configs, label_dirs):
+        batches[label] = run_batch(cfg, workers=workers, output_dir=label_dir)
 
     finals = {lab: {fid: [r.best_fitness for r in batches[lab].results[fid] if r is not None]
                     for fid in base.functions} for lab in labels}
@@ -694,8 +698,7 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
                               signed_rank_p=signed_p, adjusted_p=adjusted_p,
                               mean_rank=mean_rank, overall_rank=overall_rank,
                               failures=failures)
-    if write_files:
-        write_comparison_files(report, out_dir)
+    write_comparison_files(report, out_dir)
     return report
 
 
@@ -703,33 +706,32 @@ _SYMBOL_TEXT = {stats.SYMBOL_MINUS: "-", stats.SYMBOL_PLUS: "+", stats.SYMBOL_AP
 
 
 def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
-        fh.write("function,algorithm,mean,std,nfe,sr,rank\n")
-        for fid in report.function_ids:
-            for lab in report.labels:
-                s = report.summaries[lab][fid]
-                fh.write(f"{fid},{lab},{_fmt_summary(s)},{s.rank}\n")
-    with open(os.path.join(out_dir, "ranks.csv"), "w") as fh:
-        fh.write("algorithm,mean_rank,overall_rank\n")
+    lines = []
+    for fid in report.function_ids:
         for lab in report.labels:
-            fh.write(f"{lab},{report.mean_rank[lab]:.4f},{report.overall_rank[lab]}\n")
+            s = report.summaries[lab][fid]
+            lines.append(f"{fid},{lab},{_fmt_summary(s)},{s.rank}")
+    _write_table(os.path.join(out_dir, "comparison.csv"),
+                 "function,algorithm,mean,std,nfe,sr,rank", lines)
+    lines = []
+    for lab in report.labels:
+        lines.append(f"{lab},{report.mean_rank[lab]:.4f},{report.overall_rank[lab]}")
+    _write_table(os.path.join(out_dir, "ranks.csv"), "algorithm,mean_rank,overall_rank", lines)
     peers = [lab for lab in report.labels if lab != report.reference]
-    with open(os.path.join(out_dir, "verdicts.csv"), "w") as fh:
-        fh.write("function,peer,symbol,p_value\n")
-        for fid in report.function_ids:
-            for peer in peers:
-                v = report.verdicts[peer][fid]
-                fh.write(f"{fid},{peer},{_SYMBOL_TEXT[v.symbol]},{v.p_value:.6E}\n")
-        for symbol in (stats.SYMBOL_MINUS, stats.SYMBOL_PLUS, stats.SYMBOL_APPROX):
-            for peer in peers:
-                fh.write(f"tally_{_SYMBOL_TEXT[symbol]},{peer},"
-                         f"{report.tallies[peer][symbol]},\n")
-    with open(os.path.join(out_dir, "posthoc.csv"), "w") as fh:
-        fh.write("comparison,p_value,adjusted_p\n")
-        for peer in sorted(peers, key=lambda p: report.signed_rank_p[p]):
-            fh.write(f"{report.reference}_vs_{peer},{report.signed_rank_p[peer]:.6E},"
-                     f"{report.adjusted_p[peer]:.6E}\n")
+    lines = []
+    for fid in report.function_ids:
+        for peer in peers:
+            v = report.verdicts[peer][fid]
+            lines.append(f"{fid},{peer},{_SYMBOL_TEXT[v.symbol]},{v.p_value:.6E}")
+    for symbol in (stats.SYMBOL_MINUS, stats.SYMBOL_PLUS, stats.SYMBOL_APPROX):
+        for peer in peers:
+            lines.append(f"tally_{_SYMBOL_TEXT[symbol]},{peer},{report.tallies[peer][symbol]},")
+    _write_table(os.path.join(out_dir, "verdicts.csv"), "function,peer,symbol,p_value", lines)
+    lines = []
+    for peer in sorted(peers, key=lambda p: report.signed_rank_p[p]):
+        lines.append(f"{report.reference}_vs_{peer},{report.signed_rank_p[peer]:.6E},"
+                     f"{report.adjusted_p[peer]:.6E}")
+    _write_table(os.path.join(out_dir, "posthoc.csv"), "comparison,p_value,adjusted_p", lines)
 
 
 # ---------------------------------------------------------------------------

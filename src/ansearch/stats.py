@@ -22,6 +22,9 @@ import numpy as np
 RANK_SUM_EXACT_LIMIT = 20
 SIGNED_RANK_EXACT_LIMIT = 25
 
+ALPHA = 0.05   # significance level of the rank-sum verdicts
+FINNER_MODES = ("step_down", "single_step")
+
 SYMBOL_MINUS = "minus"    # peer performs worse than the reference
 SYMBOL_PLUS = "plus"      # peer performs better
 SYMBOL_APPROX = "approx"  # no significant difference
@@ -135,15 +138,16 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> float:
     return min(1.0, 2.0 * _normal_sf(abs(z)))
 
 
-def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], alpha: float = 0.05) -> PairwiseVerdict:
+def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> PairwiseVerdict:
     """Verdict on peer sample ``b`` against reference sample ``a``.
 
-    Below-alpha p-values are directed by the sample medians (minimization:
-    the smaller median is the better performer); equal medians fall back to
-    means, and a still-unbroken tie reports "approx".
+    A p-value at or above ``ALPHA`` reports "approx".  One below it is
+    directed by the sample medians (minimization: the smaller median is the
+    better performer); equal medians fall back to means, and a still-unbroken
+    tie reports "approx".
     """
     p = rank_sum_p_value(a, b)
-    if p >= alpha:
+    if p >= ALPHA:
         return PairwiseVerdict(SYMBOL_APPROX, p)
     med_a, med_b = float(np.median(a)), float(np.median(b))
     if med_a == med_b:
@@ -203,6 +207,8 @@ def finner_adjust(p_values: Sequence[float], mode: str = "step_down") -> List[fl
     form 1 - (1 - p)^k applied to every entry independently.
     Results are clipped to [0, 1] and returned in the input order.
     """
+    if mode not in FINNER_MODES:
+        raise ValueError(f"unknown finner mode {mode!r}")
     k = len(p_values)
     if k == 0:
         raise ValueError("finner_adjust needs at least one p-value")
@@ -211,8 +217,6 @@ def finner_adjust(p_values: Sequence[float], mode: str = "step_down") -> List[fl
             raise ValueError(f"p-value {p} outside [0, 1]")
     if mode == "single_step":
         return [min(1.0, 1.0 - (1.0 - p) ** k) for p in p_values]
-    if mode != "step_down":
-        raise ValueError(f"unknown finner mode {mode!r}")
     order = sorted(range(k), key=lambda i: p_values[i])
     adjusted = [0.0] * k
     running = 0.0

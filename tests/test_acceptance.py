@@ -33,9 +33,9 @@ def ans_runs(function_id, dim, degree, runs, max_evals, population=20, sigma=0.5
              max_generations=None):
     params = AnsParams(population_size=population, across_degree=degree, sigma=sigma,
                        max_evals=max_evals, max_generations=max_generations)
-    rotation_seed = (derive_rotation_seed(MASTER, function_id)
-                     if benchmarks.SPECS[function_id].is_rotated else None)
-    problem = benchmarks.make_problem(function_id, dim, rotation_seed=rotation_seed)
+    rotation = (benchmarks.make_rotation_matrix(dim, derive_rotation_seed(MASTER, function_id))
+                if benchmarks.SPECS[function_id].is_rotated else None)
+    problem = benchmarks.make_problem(function_id, dim, rotation=rotation)
     seeds = [derive_run_seed(MASTER, "ans", function_id, index) for index in range(runs)]
     return run(problem, params, seeds).runs
 

@@ -28,7 +28,7 @@ NON_NEGATIVE_IDS = ["f1", "f3", "f4", "f5", "f7", "f8", "f9", "f10",
 def build(fid, dim, seed=7, **kw):
     spec = SPECS[fid]
     if spec.is_rotated:
-        return make_problem(fid, dim, rotation_seed=seed, **kw)
+        return make_problem(fid, dim, rotation=make_rotation_matrix(dim, seed), **kw)
     return make_problem(fid, dim, **kw)
 
 
@@ -198,8 +198,9 @@ def test_make_problem_validation():
     # An unrotated id refuses a rotation instead of dropping it.
     with pytest.raises(ValueError):
         make_problem("f1", 3, rotation=make_rotation_matrix(3, seed=7))
-    with pytest.raises(ValueError):
-        make_problem("f1", 3, rotation_seed=5)
+    # A rotation comes in one way, as a matrix: f13 with only a seed raises.
+    with pytest.raises(TypeError):
+        make_problem("f13", 3, rotation_seed=5)
 
 
 def test_f8_range_default_and_override():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ansearch import benchmarks, cli, harness
-from ansearch.harness import (ConfigError, compare, derive_run_seed, load_config,
+from ansearch.harness import (ConfigError, ExperimentConfig, compare, derive_run_seed, load_config,
                               parse_config_text, read_results_csv, recompute_summaries,
                               run_batch, sweep, trace, validate_config)
 
@@ -114,16 +114,34 @@ def test_config_error_codes(tmp_path):
     # de runs after initialization, a negative v_max pinned every velocity
     # to -v_max, a NaN weight gave NaN trials, an infinite sigma gave
     # inf * 0 = NaN positions, and a repeated n_per_function id kept only
-    # its last entry.
+    # its last entry.  A negative master seed failed every run.
     for extra in ("algorithm = pso\nmax_generations = 0\n",
                   "algorithm = de\nmax_generations = 0\n",
                   "algorithm = pso\nv_max = -1\n",
                   "algorithm = de\nde_weight = nan\n",
                   "sigma = inf\n",
-                  "n_per_function = f1:1,f1:2\n"):
+                  "n_per_function = f1:1,f1:2\n",
+                  "master_seed = -1\n"):
         with pytest.raises(ConfigError) as err:
             parse_config_text("functions = f1\ndimensions = 5\n" + extra)
         assert err.value.code == "invalid_value", extra
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(functions=("f99",)), "functions: unknown function id 'f99'"),
+    (dict(functions=("f1", "f1")), "functions: function id 'f1' is repeated"),
+    (dict(n_per_function={"f99": 1}), "n_per_function: unknown function id 'f99'"),
+])
+def test_validate_config_checks_function_ids_of_library_configs(tmp_path, overrides, message):
+    # A config built in Python never meets the file parsers: an unknown id
+    # used to end in a KeyError traceback or be ignored, and a repeated id
+    # wrote its summary row twice.
+    config = ExperimentConfig(dimensions=3, output_dir=str(tmp_path / "lib"),
+                              **{"functions": ("f1",), **overrides})
+    with pytest.raises(ConfigError) as err:
+        run_batch(config)
+    assert err.value.code == "invalid_value" and str(err.value) == message
+    assert not (tmp_path / "lib").exists()
 
 
 def test_readme_config_keys_table_names_every_config_field():
@@ -489,7 +507,7 @@ def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
     # solution of this seeded run has collapsed onto the global optimum.
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
                          max_evals=20 * 85, master_seed=1)
-    _, snapshots, warnings = trace(config, gens=[80], write_files=False)
+    _, snapshots, warnings = trace(config, gens=[80])
     assert not warnings
     superiors = snapshots[0].superiors
     assert np.max(np.abs(superiors)) < 1e-2
@@ -664,6 +682,31 @@ def test_all18_report_golden_digest(tmp_path):
     assert tree_sha256(tmp_path / "all18") == GOLDEN_ALL18_SHA256
 
 
+# Pins the report trees the three digests above do not reach: a sweep over
+# sigma (with a value ``:g`` would round) and one over m, a trace with a
+# generation beyond termination, and the reports of a batch whose every job
+# failed with a message holding a field and a line separator.  Same
+# provenance and update rule as GOLDEN_COMPARE_SHA256.
+GOLDEN_SWEEP_TRACE_SHA256 = "78729ff9eb2a96019ac9d3228b70114ea3d68d2986ccdf5392443bbd3d2d2cf0"
+
+
+def test_sweep_trace_failures_golden_digest(tmp_path, monkeypatch):
+    root = tmp_path / "tree"
+    base = parse_config_text("functions = f1,f5\ndimensions = 4\nruns = 3\nmax_evals = 300\n"
+                             "master_seed = 321\n")
+    sweep(replace(base, output_dir=str(root / "sweep_sigma")), "sigma", [0.5, 0.1234567, 2.0])
+    sweep(replace(base, output_dir=str(root / "sweep_m")), "m", [5, 10])
+    trace(replace(base, functions=("f7",), dimensions=2, runs=1, max_evals=120,
+                  output_dir=str(root / "trace")), gens=[0, 3, 999])
+
+    def boom(job):
+        raise ValueError("a,b\nc")
+
+    monkeypatch.setattr(harness, "execute_job", boom)
+    run_batch(base, output_dir=str(root / "failed"))
+    assert tree_sha256(root) == GOLDEN_SWEEP_TRACE_SHA256
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -699,6 +742,8 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     # also when only n_per_function asks for one.
     lone_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s") + "population_size = 1\n",
                             "lone.cfg")
+    neg_seed_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s").replace(
+        "master_seed = 321", "master_seed = -1").replace("f1,f5", "f1,f13"), "neg.cfg")
     lone_n_cfg = write_config(tmp_path, TINY.format(out=tmp_path / "s") + "population_size = 1\n"
                               "across_degree = 0\nn_per_function = f5:1\n", "lone_n.cfg")
     # Malformed or non-integer list arguments and invalid values, before
@@ -710,6 +755,10 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
                  ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,inf"],
                  ["sweep", str(sweep_cfg), "--param", "n", "--values", "1.5"],
                  ["sweep", str(sweep_cfg), "--param", "m", "--values", "1,5"],
+                 # A repeated value ran its batch again and wrote a second row.
+                 ["sweep", str(sweep_cfg), "--param", "sigma", "--values", "0.5,0.5"],
+                 ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,5.0"],
+                 ["run", str(neg_seed_cfg)],
                  ["run", str(lone_cfg)],
                  ["run", str(lone_n_cfg)]):
         assert cli.main(argv) == 2, argv
@@ -717,6 +766,33 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "t").exists() and not (tmp_path / "s").exists()
     assert cli.main(["stats", str(tmp_path / "no_such_dir")]) == 2
     assert "missing_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", ["file/sub", ""])
+def test_cli_unmakeable_output_dir_is_a_config_error_before_any_run(tmp_path, monkeypatch,
+                                                                    capsys, output_dir):
+    # A directory that cannot be made used to end in a traceback after all
+    # the runs were done.
+    (tmp_path / "file").write_text("")
+    (tmp_path / "cmp").mkdir()
+    (tmp_path / "cmp" / "de").write_text("")   # compare's directory for its de batch
+    calls = []
+    monkeypatch.setattr(harness, "execute_job", calls.append)
+    monkeypatch.setattr(harness, "ans_run", lambda *args, **kw: calls.append(args))  # trace's run
+    base = TINY.format(out=tmp_path / output_dir if output_dir else "")
+    cfg = write_config(tmp_path, base, "ans.cfg")
+    de_cfg = write_config(tmp_path, base.replace("algorithm = ans", "algorithm = de"), "de.cfg")
+    trace_cfg = write_config(tmp_path, base.replace("f1,f5", "f7"), "tr.cfg")
+    for argv in (["run", str(cfg)],
+                 ["sweep", str(cfg), "--param", "sigma", "--values", "0.4,0.6"],
+                 ["trace", str(trace_cfg), "--gens", "0"],
+                 ["compare", str(cfg), str(de_cfg)],
+                 ["compare", str(cfg), str(de_cfg), "--output-dir", str(tmp_path / "cmp")]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid_value" in err[0], argv
+    assert calls == []
+    assert os.listdir(tmp_path / "cmp" / "ans") == []   # made, but nothing written
 
 
 def test_cli_exit_code_on_run_failure(tmp_path, monkeypatch, capsys):
