@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from . import harness
@@ -40,13 +41,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = harness.load_config(args.config)
-    values = harness._parse_list("--values", args.values, harness._parse_float)
+    values = harness._parse_list("--values", args.values,
+                                 partial(harness._parse_number, kind=float))
     rows, failures = harness.sweep(config, args.param, values, workers=args.workers)
     print(f"{'function':10s} {args.param:>8s} {'mean':>14s} {'sr':>8s}  best")
     for row in rows:
         s = row.summary
         marker = "*" if row.best else ""
-        print(f"{row.function_id:10s} {row.value:8g} {s.mean:14.6E} "
+        print(f"{row.function_id:10s} {harness._fmt_value(row.value):>8s} {s.mean:14.6E} "
               f"{s.success_rate * 100:7.6g}%  {marker}")
     print(f"sweep table written to {config.output_dir}")
     return 1 if _report_failures(config.algorithm, failures) else 0
@@ -54,7 +56,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     config = harness.load_config(args.config)
-    gens = harness._parse_list("--gens", args.gens) if args.gens else None
+    gens = harness._parse_list("--gens", args.gens, partial(harness._parse_number, kind=int))
     result, snapshots, warnings = harness.trace(config, gens)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="capture position/superior snapshots of one run")
     p.add_argument("config")
-    p.add_argument("--gens", help="comma-separated snapshot generations")
+    p.add_argument("--gens", required=True, help="comma-separated snapshot generations")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="run several algorithms under one protocol")

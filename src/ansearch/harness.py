@@ -57,7 +57,6 @@ class ExperimentConfig:
     output_dir: str = "results"
     boundary_policy: str = "clamp"
     finner_mode: str = "step_down"
-    snapshot_gens: Tuple[int, ...] = ()
     write_history: bool = False
     f8_narrow_range: bool = False
     # across-neighbourhood search block
@@ -102,18 +101,13 @@ class ExperimentConfig:
 # Config file parsing: flat "key = value" lines, '#' comments.
 # ---------------------------------------------------------------------------
 
-def _parse_int(key, text):
+def _parse_number(key, text, kind):
+    """``text`` read as ``kind`` (int or float)."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError("invalid_value", f"{key}: expected an integer, got {text!r}") from None
-
-
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError("invalid_value", f"{key}: expected a number, got {text!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError("invalid_value", f"{key}: expected {noun}, got {text!r}") from None
 
 
 def _parse_bool(key, text):
@@ -125,7 +119,7 @@ def _parse_bool(key, text):
     raise ConfigError("invalid_value", f"{key}: expected true/false, got {text!r}")
 
 
-def _parse_list(key, text, parse=_parse_int):
+def _parse_list(key, text, parse):
     """Comma-separated values, each read by ``parse(key, text)``."""
     return tuple(parse(key, part.strip()) for part in text.split(",") if part.strip())
 
@@ -142,7 +136,7 @@ def _parse_degree_map(key, text):
         fid = fid.strip()
         if fid in mapping:   # a dict keeps only the last entry of an id
             raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
-        mapping[fid] = _parse_int(key, val.strip())
+        mapping[fid] = _parse_number(key, val.strip(), int)
     return mapping
 
 
@@ -153,8 +147,9 @@ def _key_parser(hint):
         hint, = (arg for arg in get_args(hint) if arg is not type(None))
     if get_origin(hint) is tuple:
         return partial(_parse_list, parse=_key_parser(get_args(hint)[0]))
-    return {int: _parse_int, float: _parse_float, bool: _parse_bool,
-            str: lambda key, text: text, Dict[str, int]: _parse_degree_map}[hint]
+    return {int: partial(_parse_number, kind=int), float: partial(_parse_number, kind=float),
+            bool: _parse_bool, str: lambda key, text: text,
+            Dict[str, int]: _parse_degree_map}[hint]
 
 
 _KEY_PARSERS = {name: _key_parser(hint)
@@ -162,6 +157,8 @@ _KEY_PARSERS = {name: _key_parser(hint)
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """``config``, or an ``invalid_value`` :class:`ConfigError`; each function
+    is checked with the params, and so the ans degree, it runs with."""
     if config.algorithm not in ALGORITHMS:
         raise ConfigError("invalid_value", f"algorithm must be one of {ALGORITHMS}, "
                                            f"got {config.algorithm!r}")
@@ -172,6 +169,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
         if fid in config.functions[:i]:
             raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
+    for fid in config.n_per_function:
+        if fid not in SPECS:
+            raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
+        if fid not in config.functions:   # it would never be read
+            raise ConfigError("invalid_value", f"n_per_function: function id {fid!r} "
+                                               f"is not in functions")
     if config.dimensions < 1:
         raise ConfigError("invalid_value", "dimensions must be >= 1")
     if config.runs < 1:
@@ -184,27 +187,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.finner_mode not in stats.FINNER_MODES:
         raise ConfigError("invalid_value", f"finner_mode must be one of {stats.FINNER_MODES}, "
                                            f"got {config.finner_mode!r}")
-    if not 0 <= config.across_degree <= config.dimensions:
-        raise ConfigError("invalid_value", f"across_degree {config.across_degree} outside "
-                                           f"[0, {config.dimensions}]")
-    for fid, n in config.n_per_function.items():
-        if fid not in SPECS:
-            raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
-        if not 0 <= n <= config.dimensions:
-            raise ConfigError("invalid_value", f"n_per_function[{fid}] = {n} outside "
-                                               f"[0, {config.dimensions}]")
-    _check_snapshot_gens(config.snapshot_gens)
-    try:
-        for fid in config.functions:
-            config.params_for(fid)
-    except ValueError as exc:
-        raise ConfigError("invalid_value", str(exc)) from None
+    for fid in config.functions:
+        try:
+            params = config.params_for(fid)
+        except ValueError as exc:
+            raise ConfigError("invalid_value", str(exc)) from None
+        if isinstance(params, AnsParams) and params.across_degree > config.dimensions:
+            raise ConfigError("invalid_value", f"{fid}: across_degree {params.across_degree} "
+                                               f"exceeds dimensions {config.dimensions}")
     return config
-
-
-def _check_snapshot_gens(gens: Sequence[int]) -> None:
-    if any(g < 0 for g in gens):
-        raise ConfigError("invalid_value", "snapshot generations must be >= 0")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -244,19 +235,20 @@ def load_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
 # Seeds and rotation matrices
 # ---------------------------------------------------------------------------
 
+def _derive_seed(*words: int) -> int:
+    """The 64-bit seed of an entropy-word sequence; a pure function."""
+    return int(np.random.SeedSequence([int(w) for w in words]).generate_state(1, np.uint64)[0])
+
+
 def derive_run_seed(master_seed: int, algorithm: str, function_id: str, run_index: int) -> int:
     """Independent 64-bit seed per (algorithm, function, run); pure function."""
-    seq = np.random.SeedSequence(
-        [int(master_seed), _ALG_CODES[algorithm], _FUNC_NUMBER[function_id], int(run_index)])
-    return int(seq.generate_state(1, np.uint64)[0])
+    return _derive_seed(master_seed, _ALG_CODES[algorithm], _FUNC_NUMBER[function_id], run_index)
 
 
 def derive_rotation_seed(master_seed: int, function_id: str) -> int:
     """One rotation landscape per (experiment, function): the matrix does not
     depend on algorithm or run index, so all comparisons share it."""
-    seq = np.random.SeedSequence(
-        [int(master_seed), _ROTATION_STREAM_TAG, _FUNC_NUMBER[function_id]])
-    return int(seq.generate_state(1, np.uint64)[0])
+    return _derive_seed(master_seed, _ROTATION_STREAM_TAG, _FUNC_NUMBER[function_id])
 
 
 def _rotation(config: ExperimentConfig, function_id: str) -> Optional[benchmarks.RotationMatrix]:
@@ -543,22 +535,23 @@ class Snapshot:
 
 
 def trace(config: ExperimentConfig,
-          gens: Optional[Sequence[int]] = None) -> Tuple[RunResult, List[Snapshot], List[str]]:
+          gens: Sequence[int]) -> Tuple[RunResult, List[Snapshot], List[str]]:
     """Single seeded run (run 0 of the batch) capturing population snapshots
-    at the requested generations (generation 0 is the initial population).
-    Snapshots beyond the run's termination are skipped with a warning."""
+    at generations ``gens`` (at least one, each >= 0; generation 0 is the
+    initial population).  Snapshots beyond the run's termination are skipped
+    with a warning."""
     if config.algorithm != "ans":
         raise ConfigError("invalid_value",
                           "trace needs the superior-solution memory of the ans algorithm")
-    snapshot_gens = tuple(gens) if gens is not None else config.snapshot_gens
-    if not snapshot_gens:
+    if not gens:
         raise ConfigError("invalid_value", "trace needs at least one snapshot generation")
-    _check_snapshot_gens(snapshot_gens)
+    if any(g < 0 for g in gens):
+        raise ConfigError("invalid_value", "snapshot generations must be >= 0")
     if len(config.functions) != 1:
         raise ConfigError("invalid_value", "trace expects exactly one function")
     validate_config(config)
     _make_output_dirs(config.output_dir)
-    wanted = set(snapshot_gens)
+    wanted = set(gens)
     snapshots: List[Snapshot] = []
 
     def capture(state) -> None:
@@ -740,8 +733,8 @@ def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
 
 def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], int]]:
     """The rows of a raw results file; a malformed file is a ``syntax``
-    :class:`ConfigError` naming the line."""
-    rows = []
+    :class:`ConfigError` naming the line, and so is a repeated run index."""
+    rows = {}   # run index -> row
     with open(path) as fh:
         if fh.readline().strip() != _RESULTS_HEADER:
             raise ConfigError("syntax", f"{path} line 1: expected the header {_RESULTS_HEADER}")
@@ -754,11 +747,14 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
                                             f"got {len(fields)}")
             idx, seed, fit, nfe, used = fields
             try:
-                rows.append((int(idx), int(seed), float(fit),
-                             int(nfe) if nfe else None, int(used)))
+                row = (int(idx), int(seed), float(fit), int(nfe) if nfe else None, int(used))
             except ValueError as exc:
                 raise ConfigError("syntax", f"{path} line {lineno}: {exc}") from None
-    return rows
+            if row[0] in rows:   # the run would count twice in its summary
+                raise ConfigError("syntax", f"{path} line {lineno}: run_index {row[0]} "
+                                            f"is repeated")
+            rows[row[0]] = row
+    return list(rows.values())
 
 
 def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionSummary]]:

@@ -3,9 +3,10 @@
 The two-sample rank-sum test and the paired signed-rank test are
 implemented from scratch because the evaluation protocol needs exact
 p-values in the presence of ties (final fitnesses are often identical
-zeros), which off-the-shelf exact methods refuse.  Small samples are
-counted exactly with integer arithmetic (doubled mid-ranks), larger ones
-use the tie-corrected normal approximation.
+zeros), which off-the-shelf exact methods refuse.  Both tests share one
+kernel: ``_tie_groups`` (also behind the competition ranks) groups equal
+values, ``_exact_p`` counts small samples exactly over doubled mid-ranks,
+and ``_normal_p`` is the tie-corrected normal approximation beyond that.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Exact-count limits (both counted by dynamic programming): pooled size 20
-# for the rank-sum test, 25 non-zero differences for the signed-rank.
+# Exact-count limits: pooled size 20 for the rank-sum test, 25 non-zero
+# differences for the signed-rank.
 RANK_SUM_EXACT_LIMIT = 20
 SIGNED_RANK_EXACT_LIMIT = 25
 
@@ -66,38 +67,68 @@ def summarize(final_fitnesses: Sequence[float],
     return FunctionSummary(mean=mean, std=std, success_rate=sr, mean_nfe_to_success=nfe)
 
 
+def _tie_groups(values: Sequence[float]) -> Iterator[Tuple[int, List[int]]]:
+    """Each group of equal values in ascending order: its first position
+    (from 0) and its members' indices.  A NaN has no place in the order."""
+    if any(v != v for v in values):
+        raise ValueError("ranked values must not be NaN")
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    start = 0
+    for _, grp in groupby(order, key=lambda i: values[i]):
+        idx = list(grp)
+        yield start, idx
+        start += len(idx)
+
+
 def rank_algorithms(means: Sequence[float]) -> List[int]:
     """Competition ranking of mean results: smaller is better, exact ties
     share the smallest rank of their group (0, 0, 5 -> 1, 1, 3)."""
     if len(means) == 0:
         raise ValueError("rank_algorithms needs at least one entry")
-    order = sorted(range(len(means)), key=lambda i: means[i])
-    ranks = [0] * len(means)
-    for pos, i in enumerate(order):
-        if pos > 0 and means[i] == means[order[pos - 1]]:
-            ranks[i] = ranks[order[pos - 1]]
-        else:
-            ranks[i] = pos + 1
-    return ranks
+    rank = {i: start + 1 for start, idx in _tie_groups(means) for i in idx}
+    return [rank[i] for i in range(len(means))]
 
 
-def _doubled_midranks(values: Sequence[float]) -> List[int]:
-    """Mid-ranks of the pooled sample, doubled so they are exact integers."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+def _doubled_midranks(values: Sequence[float]) -> Tuple[List[int], int]:
+    """Mid-ranks of the pooled sample, doubled so they are exact integers,
+    and the tie term sum(t^3 - t) over its groups of t equal values."""
     doubled = [0] * len(values)
-    pos = 1
-    for _, grp in groupby(order, key=lambda i: values[i]):
-        idx = list(grp)
+    tie_term = 0
+    for start, idx in _tie_groups(values):
         t = len(idx)
-        dr = 2 * pos + (t - 1)  # 2 * average of pos .. pos+t-1
         for i in idx:
-            doubled[i] = dr
-        pos += t
-    return doubled
+            doubled[i] = 2 * start + t + 1  # 2 * average of start+1 .. start+t
+        tie_term += t ** 3 - t
+    return doubled, tie_term
+
+
+def _exact_p(doubled: Sequence[int], observed2: int, size: Optional[int] = None) -> float:
+    """Share of the subsets of ``doubled`` (of ``size`` ranks, or of any
+    size) whose rank sum is at least as far from its null mean as
+    ``observed2``, counted by dynamic programming in exact integers."""
+    n, total2 = len(doubled), sum(doubled)   # total2 = n(n+1): both means are integers
+    # ways[k, s] = size-k position subsets (ties count fully) of doubled sum s.
+    ways = np.zeros(((n if size is None else size) + 1, total2 + 1), dtype=np.uint64)
+    ways[0, 0] = 1
+    for r in doubled:  # doubled mid-ranks are always >= 2
+        ways[1:, r:] += ways[:-1, :-r].copy()
+    counts = ways.sum(axis=0) if size is None else ways[size]
+    mean2 = total2 // 2 if size is None else size * total2 // n
+    sums2 = np.arange(total2 + 1)
+    hits = int(counts[np.abs(sums2 - mean2) >= abs(observed2 - mean2)].sum())
+    return hits / int(counts.sum())
 
 
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _normal_p(deviation: float, var: float) -> float:
+    """Two-sided normal p-value of a deviation from the null mean."""
+    if var <= 0:
+        return 1.0
+    z = deviation / math.sqrt(var)
+    return min(1.0, 2.0 * _normal_sf(abs(z)))
 
 
 def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> float:
@@ -111,31 +142,14 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> float:
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValueError("rank-sum test needs at least 2 observations per sample")
-    pooled = list(a) + list(b)
-    doubled = _doubled_midranks(pooled)
+    doubled, tie_term = _doubled_midranks(list(a) + list(b))
     total = n1 + n2
     observed2 = sum(doubled[:n1])          # doubled rank sum of sample a
-    mean2 = n1 * (total + 1)               # doubled null mean
-
     if total <= RANK_SUM_EXACT_LIMIT:
-        # ways[k, s] = number of size-k position subsets whose doubled rank
-        # sum is s (positional, so ties count fully); exact integers.
-        total2 = sum(doubled)
-        ways = np.zeros((n1 + 1, total2 + 1), dtype=np.uint64)
-        ways[0, 0] = 1
-        for r in doubled:  # doubled mid-ranks are always >= 2
-            ways[1:, r:] += ways[:-1, :-r].copy()
-        sums2 = np.arange(total2 + 1)
-        hits = int(ways[n1, np.abs(sums2 - mean2) >= abs(observed2 - mean2)].sum())
-        return hits / math.comb(total, n1)
-
-    ties = [len(list(g)) for _, g in groupby(sorted(pooled))]
-    tie_term = sum(t ** 3 - t for t in ties)
+        return _exact_p(doubled, observed2, n1)
+    mean2 = n1 * (total + 1)               # doubled null mean
     var = n1 * n2 / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
-    if var <= 0:
-        return 1.0
-    z = (observed2 - mean2) / (2.0 * math.sqrt(var))
-    return min(1.0, 2.0 * _normal_sf(abs(z)))
+    return _normal_p((observed2 - mean2) / 2.0, var)
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> PairwiseVerdict:
@@ -172,30 +186,13 @@ def wilcoxon_signed_rank(paired_diffs: Sequence[float]) -> float:
     n = len(diffs)
     if n == 0:
         return 1.0
-    doubled = _doubled_midranks([abs(d) for d in diffs])
-    total2 = sum(doubled)
+    doubled, tie_term = _doubled_midranks([abs(d) for d in diffs])
     w2 = sum(r for d, r in zip(diffs, doubled) if d > 0)
-
     if n <= SIGNED_RANK_EXACT_LIMIT:
-        # ways[s] = number of sign patterns whose positive-rank (doubled)
-        # sum is s; exact integer arithmetic throughout.
-        ways = np.zeros(total2 + 1, dtype=np.uint64)
-        ways[0] = 1
-        for r in doubled:  # doubled mid-ranks are always >= 2
-            ways[r:] += ways[:-r].copy()
-        target = abs(2 * w2 - total2)
-        sums2 = np.arange(total2 + 1)
-        hits = int(ways[np.abs(2 * sums2 - total2) >= target].sum())
-        return hits / float(2 ** n)
-
-    ties = [len(list(g)) for _, g in groupby(sorted(abs(d) for d in diffs))]
-    tie_term = sum(t ** 3 - t for t in ties)
+        return _exact_p(doubled, w2)
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    if var <= 0:
-        return 1.0
-    z = (w2 / 2.0 - mean) / math.sqrt(var)
-    return min(1.0, 2.0 * _normal_sf(abs(z)))
+    return _normal_p(w2 / 2.0 - mean, var)
 
 
 def finner_adjust(p_values: Sequence[float], mode: str = "step_down") -> List[float]:

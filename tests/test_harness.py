@@ -77,6 +77,17 @@ def test_n_per_function_override():
     assert config.params_for("f7").across_degree == 1
 
 
+def test_degree_is_checked_at_the_degree_each_function_runs_at():
+    # The degree keys are read by ans alone, and a function's
+    # n_per_function entry replaces across_degree for it.
+    config = parse_config_text("functions = f1\ndimensions = 5\nacross_degree = 9\n"
+                               "n_per_function = f1:2\n")
+    assert config.params_for("f1").across_degree == 2
+    pso = parse_config_text("algorithm = pso\nfunctions = f1\ndimensions = 5\n"
+                            "across_degree = 9\n")
+    assert pso.algorithm == "pso"
+
+
 def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(tmp_path / "missing.cfg")
@@ -121,7 +132,12 @@ def test_config_error_codes(tmp_path):
                   "algorithm = de\nde_weight = nan\n",
                   "sigma = inf\n",
                   "n_per_function = f1:1,f1:2\n",
-                  "master_seed = -1\n"):
+                  "master_seed = -1\n",
+                  # An entry for an unlisted function was accepted and never read.
+                  "n_per_function = f7:3\n",
+                  "across_degree = -1\n",
+                  "n_per_function = f1:6\n",
+                  "n_per_function = f1:-1\n"):
         with pytest.raises(ConfigError) as err:
             parse_config_text("functions = f1\ndimensions = 5\n" + extra)
         assert err.value.code == "invalid_value", extra
@@ -131,6 +147,8 @@ def test_config_error_codes(tmp_path):
     (dict(functions=("f99",)), "functions: unknown function id 'f99'"),
     (dict(functions=("f1", "f1")), "functions: function id 'f1' is repeated"),
     (dict(n_per_function={"f99": 1}), "n_per_function: unknown function id 'f99'"),
+    (dict(n_per_function={"f7": 3}), "n_per_function: function id 'f7' is not in functions"),
+    (dict(n_per_function={"f1": 4}), "f1: across_degree 4 exceeds dimensions 3"),
 ])
 def test_validate_config_checks_function_ids_of_library_configs(tmp_path, overrides, message):
     # A config built in Python never meets the file parsers: an unknown id
@@ -379,6 +397,8 @@ MALFORMED_RESULTS = {
     "wrong_header": ("run,seed,fitness\n0,1,2.0\n", 1),
     "too_few_fields": (RESULTS_HEADER + "0,11,1.5,,400\n1,12,2.5,400\n", 3),
     "non_numeric_field": (RESULTS_HEADER + "0,11,1.5,,400\n1,12,low,,400\n", 3),
+    # A repeated run counted twice: stats wrote mean 1.666667 for two runs of mean 2.
+    "repeated_run_index": (RESULTS_HEADER + "0,11,1.0,,400\n0,11,1.0,,400\n1,12,3.0,,400\n", 3),
 }
 
 
@@ -519,8 +539,6 @@ def test_trace_requires_ans_and_gens(tmp_path):
         trace(replace(config, algorithm="pso"), gens=[1])
     with pytest.raises(ConfigError):
         trace(config, gens=[])
-    with pytest.raises(ConfigError):
-        trace(config, gens=None)  # no snapshot_gens configured either
     with pytest.raises(ConfigError) as err:
         trace(config, gens=[-1, 0])
     assert err.value.code == "invalid_value"
@@ -888,3 +906,22 @@ def test_cli_sweep_trace_compare(tmp_path, capsys):
                      "--output-dir", str(tmp_path / "cmp_out")]) == 0
     out = capsys.readouterr().out
     assert "signed-rank" in out
+
+
+def test_cli_sweep_prints_values_as_the_sweep_table_writes_them(tmp_path, capsys):
+    # stdout used ``:8g`` and printed 0.123457 for both of these values.
+    path = write_config(tmp_path, TINY.format(out=tmp_path / "sw").replace("f1,f5", "f1"))
+    assert cli.main(["sweep", str(path), "--param", "sigma",
+                     "--values", "0.1234567,0.1234568"]) == 0
+    printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:3]]
+    written = [line.split(",")[1] for line in read_lines(tmp_path / "sw" / "sweep_sigma.csv")[1:]]
+    assert printed == written == ["0.1234567", "0.1234568"]
+
+
+def test_cli_trace_requires_gens(tmp_path, capsys):
+    trace_cfg = write_config(tmp_path, "functions = f7\ndimensions = 2\nruns = 1\n"
+                                       f"max_evals = 60\noutput_dir = {tmp_path / 't'}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", str(trace_cfg)])
+    assert exc.value.code == 2 and "--gens" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -249,3 +250,55 @@ def test_function_summary_is_immutable():
     s = FunctionSummary(1.0, 0.5, 1.0, 100.0, 2)
     with pytest.raises(Exception):
         s.mean = 2.0
+
+
+# ---------------------------------------------------------------------------
+# Golden digest of the exact and normal-approximation paths
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the repr of every p-value and ranking below, over fixed-seed
+# random cases: rank sums at n1, n2 in 2..39 (exact up to a pooled size of
+# 20, normal beyond), signed ranks at 1..44 differences (exact up to 25,
+# normal beyond) and competition ranks, all with ties.  The report goldens
+# use at most 3 runs per function, so only this digest pins the normal
+# paths bit for bit.  Update it only for an intended change of a p-value.
+GOLDEN_STATS_SHA256 = "ca20dfd7ca41fe56060cde018836b49c0336c71f5116b9c02743b556f2315a5c"
+
+
+def stats_cases_text():
+    rng = np.random.default_rng(20140801)
+    lines = []
+    for _ in range(400):
+        n1, n2 = (int(n) for n in rng.integers(2, 40, 2))
+        levels = int(rng.integers(2, 12))
+        a = (rng.integers(0, levels, n1) * 0.5).tolist()
+        b = (rng.integers(0, levels, n2) * 0.5).tolist()
+        lines.append(repr(rank_sum_p_value(a, b)))
+    for _ in range(400):
+        n = int(rng.integers(1, 45))
+        levels = int(rng.integers(1, 9))
+        diffs = (rng.integers(-levels, levels + 1, n) * 0.25).tolist()
+        lines.append(repr(wilcoxon_signed_rank(diffs)))
+    for _ in range(200):
+        means = rng.integers(0, 5, int(rng.integers(1, 9))).astype(float).tolist()
+        lines.append(repr(rank_algorithms(means)))
+    return "\n".join(lines)
+
+
+def test_golden_stats_digest():
+    digest = hashlib.sha256(stats_cases_text().encode()).hexdigest()
+    assert digest == GOLDEN_STATS_SHA256
+
+
+def test_nan_is_rejected_wherever_values_are_ranked():
+    # A NaN has no place in the order: results used to depend on where it
+    # sat ([nan, 1, -2] gave 0.75, [1, nan, -2] gave 0.5).
+    nan = float("nan")
+    for call in (lambda: wilcoxon_signed_rank([nan, 1.0, -2.0]),
+                 lambda: wilcoxon_signed_rank([1.0, nan, -2.0]),
+                 lambda: rank_algorithms([nan, 1.0, 0.5]),
+                 lambda: rank_algorithms([1.0, nan, 0.5]),
+                 lambda: rank_sum_p_value([1.0, nan], [2.0, 3.0]),
+                 lambda: rank_sum_p_value([1.0] * 15, [2.0] * 14 + [nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
