@@ -2,7 +2,7 @@
 PSO/DE baselines, nonparametric comparison statistics and a reproducible
 experiment harness."""
 
-from .core import ObjectiveProblem, RngStream, SearchBounds, init_position
+from .core import ObjectiveProblem, RngStream, SearchBounds
 from .benchmarks import (BenchmarkSpec, RotationMatrix, load_rotation_matrix, make_problem,
                          make_rotation_matrix, optimum_point, save_rotation_matrix)
 from .engine import (AnsParams, PopulationState, RunBatch, RunResult, SUCCESS_THRESHOLD, run,

@@ -97,7 +97,7 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
         state.velocities[:, i] = v
         return bounds.clip(x + v)
 
-    return sweep(state, problem, params, rngs, propose)
+    return sweep(state, problem, params.max_evals, rngs, propose)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
         cross[rows, forced] = True
         return bounds.clip(np.where(cross, donor, pop[:, i]))
 
-    return sweep(state, problem, params, rngs, propose)
+    return sweep(state, problem, params.max_evals, rngs, propose)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ Everything stochastic in this package draws from an explicitly seeded
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -75,26 +74,20 @@ class RngStream:
         return self.generator.permutation(n)
 
 
-def init_position(rng: RngStream, bounds: SearchBounds) -> np.ndarray:
-    """Uniform random position inside the search box."""
-    return rng.uniform(bounds.lo, bounds.hi, bounds.dim)
-
-
 @dataclass
 class ObjectiveProblem:
     """One benchmark instance, shared by the runs advanced together.
 
     Evaluation is row-wise: ``x`` is (..., D), one point per row, and each
     row of a noisy function draws its noise from its own stream in
-    ``rngs``.  Counts every point evaluated; ``rotation``, when given, is
-    the orthogonal matrix M of a rotated function.
+    ``rngs``.  ``rotation``, when given, is the orthogonal matrix M of a
+    rotated function.
     """
 
     function_id: str
     bounds: SearchBounds
     evaluator: Callable[[np.ndarray, Optional[Sequence[RngStream]]], np.ndarray]
     rotation: Optional[np.ndarray] = None
-    eval_count: int = field(default=0)
 
     def __post_init__(self):
         if self.rotation is not None:
@@ -106,5 +99,4 @@ class ObjectiveProblem:
                  rngs: Optional[Sequence[RngStream]] = None) -> np.ndarray:
         if x.shape[-1] != self.bounds.dim:
             raise ValueError(f"point has length {x.shape[-1]}, problem expects {self.bounds.dim}")
-        self.eval_count += math.prod(x.shape[:-1])
         return self.evaluator(x, rngs)

@@ -17,8 +17,9 @@ alone, so no result depends on which runs share a call.
 The PSO and DE baselines share everything here but the proposal rule: one
 state (:class:`PopulationState`; a PSO personal best and a DE target vector
 are the same per-individual memory as an ANS superior solution), one
-population initializer, one generation sweep (:func:`sweep`) and one run
-loop.  An algorithm's step only builds the point each individual tries.
+generation sweep (:func:`sweep`, also generation 0, with uniform proposals)
+and one run loop.  An algorithm's step only builds the point each individual
+tries.  Every memory starts at +inf and adopts only a strictly better point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from .core import RngStream, SearchBounds, ObjectiveProblem, init_position
+from .core import RngStream, SearchBounds, ObjectiveProblem
 
 SUCCESS_THRESHOLD = 1e-5
 
@@ -71,6 +72,14 @@ def _check_budget(params) -> None:
         raise ValueError("max_generations must be >= 1 when given")
 
 
+def _adopt(points: np.ndarray, fitness: np.ndarray, x: np.ndarray, fit: np.ndarray) -> None:
+    """Adopt row r of ``x`` and ``fit`` where ``fit[r] < fitness[r]``: a tie
+    keeps the incumbent and a NaN is never adopted."""
+    better = fit < fitness
+    np.copyto(points, x, where=better[:, None])
+    np.copyto(fitness, fit, where=better)
+
+
 @dataclass(kw_only=True)
 class PopulationState:
     """A population of m individuals in each of R runs, plus the run
@@ -78,18 +87,19 @@ class PopulationState:
 
     ``superiors[r, i]`` is the best point individual i of run r has found
     (its superior solution, a PSO personal best, a DE target vector) and
-    ``positions[r, i]`` the point it tried last.  :meth:`evaluate` is the one
-    place an optimizer evaluates points, so evaluation counting, the
-    first-success record and the best-so-far follow one rule for all three
-    algorithms.  The runs share population size, budget and generation cap,
-    so ``generation`` and ``evals_used`` are common to all of them.
+    ``positions[r, i]`` the point it tried last; ``best`` is NaN at +inf
+    fitness until a run adopts a point.  :meth:`evaluate` is the one place
+    an optimizer evaluates points, so evaluation counting, the first-success
+    record and the best-so-far follow one rule for all three algorithms.
+    The runs share population size, budget and generation cap, so
+    ``generation`` and ``evals_used`` are common to all of them.
     """
 
     positions: np.ndarray                           # (R, m, D)
     superiors: np.ndarray                           # (R, m, D)
     superior_fitness: np.ndarray                    # (R, m)
+    best: np.ndarray                                # (R, D)
     best_fitness: np.ndarray                        # (R,)
-    best: Optional[np.ndarray] = None               # (R, D); None before any evaluation
     evals_to_success: Optional[np.ndarray] = None   # (R,); 0 until the run succeeds
     generation: int = 0
     evals_used: int = 0
@@ -102,18 +112,12 @@ class PopulationState:
                  rngs: Sequence[RngStream]) -> np.ndarray:
         """Evaluate row r of ``x`` for run r, count one evaluation, note each
         run's first fitness below SUCCESS_THRESHOLD and adopt a row as its
-        run's best on strict improvement (the first evaluation of a run
-        always becomes the best)."""
+        run's best on strict improvement."""
         fit = problem.evaluate(x, rngs)
         self.evals_used += 1
         np.copyto(self.evals_to_success, self.evals_used,
                   where=(fit < SUCCESS_THRESHOLD) & (self.evals_to_success == 0))
-        if self.best is None:
-            self.best, self.best_fitness = x.copy(), fit.copy()
-        else:
-            better = fit < self.best_fitness
-            np.copyto(self.best, x, where=better[:, None])
-            np.copyto(self.best_fitness, fit, where=better)
+        _adopt(self.best, self.best_fitness, x, fit)
         return fit
 
 
@@ -193,7 +197,7 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
     """
     bounds = problem.bounds
     pool = state.superiors.copy() if params.frozen_superiors else state.superiors
-    return sweep(state, problem, params, rngs, lambda i: update_position(
+    return sweep(state, problem, params.max_evals, rngs, lambda i: update_position(
         state.positions[:, i], pool, i, params, rngs, bounds))
 
 
@@ -203,46 +207,38 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
 
 def init_population(problem: ObjectiveProblem, state_cls: Type[PopulationState], size: int,
                     max_evals: int, rngs: Sequence[RngStream]) -> PopulationState:
-    """A ``state_cls`` holding ``size`` uniform points per run, each its
-    individual's first superior.
-
-    Every point is drawn, even past the budget, so the stream does not
-    depend on it; evaluation stops once ``max_evals`` is used and the
-    individuals left unevaluated keep +inf superior fitness.
+    """A ``state_cls`` of ``size`` individuals per run after generation 0,
+    one :func:`sweep` in which individual i tries a uniform point in the box
+    (per run: point i, then any noise its evaluation draws).  An individual
+    the budget never reaches is never drawn: it stays NaN at +inf fitness.
     """
-    runs = len(rngs)
-    positions = np.empty((runs, size, problem.bounds.dim))
+    runs, bounds = len(rngs), problem.bounds
+    positions = np.full((runs, size, bounds.dim), np.nan)
     state = state_cls(positions=positions, superiors=positions,  # copied once drawn
                       superior_fitness=np.full((runs, size), np.inf),
-                      best_fitness=np.full(runs, np.inf))
-    for i in range(size):
-        for r, rng in enumerate(rngs):
-            positions[r, i] = init_position(rng, problem.bounds)
-        if state.evals_used < max_evals:
-            state.superior_fitness[:, i] = state.evaluate(problem, positions[:, i], rngs)
+                      best=np.full((runs, bounds.dim), np.nan), best_fitness=np.full(runs, np.inf))
+    sweep(state, problem, max_evals, rngs, lambda i: np.array(
+        [rng.uniform(bounds.lo, bounds.hi, bounds.dim) for rng in rngs]))
     state.superiors = positions.copy()
     return state
 
 
-def sweep(state: PopulationState, problem: ObjectiveProblem, params,
+def sweep(state: PopulationState, problem: ObjectiveProblem, max_evals: int,
           rngs: Sequence[RngStream], propose: Callable[[int], np.ndarray]) -> PopulationState:
     """One generation of every run: individuals in index order each try the
     (R, D) point ``propose(i)``, which becomes their position and, on strict
-    improvement, their superior.  Ties keep the incumbent superior, so
-    plateaus cause no memory churn.  Stops cleanly mid-sweep when the
-    evaluation budget runs out.
+    improvement (:func:`_adopt`), their superior.  Ties keep the incumbent
+    superior, so plateaus cause no memory churn.  Stops cleanly mid-sweep
+    when ``max_evals`` is used.
     """
     positions, superiors, sup_fitness = state.positions, state.superiors, state.superior_fitness
     for i in range(positions.shape[1]):
-        if state.evals_used >= params.max_evals:
+        if state.evals_used >= max_evals:
             break
         x = propose(i)
         fit = state.evaluate(problem, x, rngs)
         positions[:, i] = x
-        better = fit < sup_fitness[:, i]
-        np.copyto(superiors[:, i], x, where=better[:, None])
-        np.copyto(sup_fitness[:, i], fit, where=better)
-    state.generation += 1
+        _adopt(superiors[:, i], sup_fitness[:, i], x, fit)
     return state
 
 
@@ -254,9 +250,9 @@ def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Seque
     ``params.max_generations`` counts update sweeps after initialization
     when given).  The runs share both budgets, so they stop together.
 
-    ``step_fn(state, problem, params, rngs)`` advances one generation.
-    ``on_generation(state)``, when given, sees the state after
-    initialization (generation 0) and after every step.
+    ``step_fn(state, problem, params, rngs)`` sweeps one generation, which
+    the loop counts.  ``on_generation(state)``, when given, sees the state
+    after initialization (generation 0) and after every step.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -268,6 +264,7 @@ def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Seque
     while state.evals_used < params.max_evals and (
             params.max_generations is None or state.generation < params.max_generations):
         step_fn(state, problem, params, rngs)
+        state.generation += 1
         history.append((state.evals_used, state.best_fitness.tolist()))
         if on_generation is not None:
             on_generation(state)

@@ -222,10 +222,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return validate_config(config)
 
 
+def _read_text(path: Union[str, os.PathLike]) -> str:
+    """The text of a config or results file; bytes that are not UTF-8 are a
+    ``syntax`` :class:`ConfigError` naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError("syntax", f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError("missing_file", f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
@@ -303,6 +314,11 @@ def _safe_execute(job: Job) -> Tuple[List[Optional[RunResult]], Optional[str]]:
         return [None] * len(job.run_indices), f"{type(exc).__name__}: {exc}"
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError("invalid_value", f"workers must be >= 1, got {workers}")
+
+
 def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
     """One job per function and contiguous chunk of its runs.  Every run
     keeps its own seed, so the chunking changes no result."""
@@ -331,12 +347,13 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
     validate_config(config)
+    _check_workers(workers)
     if write_files:
         _make_output_dirs(out_dir)
     # More workers than cores or jobs would only add idle processes; each
     # worker gets one chunk of every function's runs.
     workers = min(workers, os.cpu_count() or 1)
-    jobs = _make_jobs(config, max(workers, 1))
+    jobs = _make_jobs(config, workers)
     workers = min(workers, len(jobs))
     if workers <= 1:
         outcomes = [_safe_execute(job) for job in jobs]
@@ -497,6 +514,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
             overrides["n_per_function"] = {}  # the swept value applies to every function
         candidate = replace(config, **overrides)
         configs.append((value, validate_config(candidate)))
+    _check_workers(workers)
     _make_output_dirs(config.output_dir)
 
     per_value: List[Tuple[float, Dict[str, stats.FunctionSummary]]] = []
@@ -636,6 +654,7 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
         labels.append(label)
     if reference not in labels:
         raise ConfigError("invalid_value", f"reference {reference!r} not among {labels}")
+    _check_workers(workers)
 
     out_dir = output_dir if output_dir is not None else base.output_dir
     label_dirs = [os.path.join(out_dir, label) for label in labels]
@@ -735,25 +754,25 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
     """The rows of a raw results file; a malformed file is a ``syntax``
     :class:`ConfigError` naming the line, and so is a repeated run index."""
     rows = {}   # run index -> row
-    with open(path) as fh:
-        if fh.readline().strip() != _RESULTS_HEADER:
-            raise ConfigError("syntax", f"{path} line 1: expected the header {_RESULTS_HEADER}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.strip().split(",")
-            if len(fields) != 5:
-                raise ConfigError("syntax", f"{path} line {lineno}: expected 5 fields, "
-                                            f"got {len(fields)}")
-            idx, seed, fit, nfe, used = fields
-            try:
-                row = (int(idx), int(seed), float(fit), int(nfe) if nfe else None, int(used))
-            except ValueError as exc:
-                raise ConfigError("syntax", f"{path} line {lineno}: {exc}") from None
-            if row[0] in rows:   # the run would count twice in its summary
-                raise ConfigError("syntax", f"{path} line {lineno}: run_index {row[0]} "
-                                            f"is repeated")
-            rows[row[0]] = row
+    lines = _read_text(path).splitlines()
+    if not lines or lines[0].strip() != _RESULTS_HEADER:
+        raise ConfigError("syntax", f"{path} line 1: expected the header {_RESULTS_HEADER}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.strip().split(",")
+        if len(fields) != 5:
+            raise ConfigError("syntax", f"{path} line {lineno}: expected 5 fields, "
+                                        f"got {len(fields)}")
+        idx, seed, fit, nfe, used = fields
+        try:
+            row = (int(idx), int(seed), float(fit), int(nfe) if nfe else None, int(used))
+        except ValueError as exc:
+            raise ConfigError("syntax", f"{path} line {lineno}: {exc}") from None
+        if row[0] in rows:   # the run would count twice in its summary
+            raise ConfigError("syntax", f"{path} line {lineno}: run_index {row[0]} "
+                                        f"is repeated")
+        rows[row[0]] = row
     return list(rows.values())
 
 

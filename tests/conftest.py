@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import settings
 
@@ -35,3 +37,23 @@ class ScriptedRng:
         if size is None:
             return value
         return np.full(size, value)
+
+
+
+class EvaluationCounter:
+    """Stands in for a problem's evaluator and counts the points (rows) it
+    evaluates, independently of the optimizer's own count."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.rows = 0
+
+    def __call__(self, x, rngs):
+        self.rows += math.prod(x.shape[:-1])
+        return self.evaluator(x, rngs)
+
+
+def count_evaluations(problem):
+    """Route ``problem``'s evaluations through a new counter and return it."""
+    problem.evaluator = EvaluationCounter(problem.evaluator)
+    return problem.evaluator

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, count_evaluations
 
 from ansearch.baselines import (DeParams, PsoParams, SwarmState, _three_distinct, de_run,
                                 de_step, pso_run, pso_step)
@@ -81,11 +81,12 @@ def test_pso_velocity_clamp_default_is_half_range():
 
 def test_pso_run_monotone_deterministic_and_counted():
     problem = make_problem("f7", 4)
+    counter = count_evaluations(problem)
     params = PsoParams(max_evals=3_000)
     a = pso_run(problem, params, [5]).runs[0]
     fits = [f for _, f in a.history]
     assert all(y <= x for x, y in zip(fits, fits[1:]))
-    assert a.evals_used == 3_000 == problem.eval_count
+    assert a.evals_used == 3_000 == counter.rows
     b = pso_run(make_problem("f7", 4), params, [5]).runs[0]
     assert a.history == b.history
     # full generations consume exactly swarm_size evaluations

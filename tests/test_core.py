@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, count_evaluations
 
-from ansearch.core import ObjectiveProblem, RngStream, SearchBounds, init_position
+from ansearch.core import ObjectiveProblem, RngStream, SearchBounds
 from ansearch.benchmarks import make_problem
 from ansearch.engine import AnsParams, update_position
 
@@ -85,7 +85,7 @@ def test_clamp_keeps_inside_points_untouched(values):
 def test_init_position_uniform_mean():
     rng = RngStream(5)
     bounds = SearchBounds(-1.0, 1.0, 4)
-    draws = np.array([init_position(rng, bounds) for _ in range(25_000)])
+    draws = np.array([rng.uniform(bounds.lo, bounds.hi, bounds.dim) for _ in range(25_000)])
     assert draws.shape == (25_000, 4)
     assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
     assert draws.min() >= -1.0 and draws.max() <= 1.0
@@ -93,8 +93,8 @@ def test_init_position_uniform_mean():
 
 def test_init_position_same_seed_identical():
     bounds = SearchBounds(-3.0, 3.0, 6)
-    a = init_position(RngStream(42), bounds)
-    b = init_position(RngStream(42), bounds)
+    a = RngStream(42).uniform(bounds.lo, bounds.hi, bounds.dim)
+    b = RngStream(42).uniform(bounds.lo, bounds.hi, bounds.dim)
     np.testing.assert_array_equal(a, b)
 
 
@@ -114,13 +114,15 @@ def test_rng_tuple_seed_distinct_from_int_seed():
 
 
 def test_eval_count_increments_by_one_per_evaluation():
+    # Evaluation reaches the evaluator once per call, with every row.
     problem = make_problem("f1", 3)
+    counter = count_evaluations(problem)
     rng = RngStream(0)
     for k in range(1, 26):
-        problem.evaluate(init_position(rng, problem.bounds))
-        assert problem.eval_count == k
-    # Each run builds its own problem, whose counter starts at zero.
-    assert make_problem("f1", 3).eval_count == 0
+        problem.evaluate(rng.uniform(-1.0, 1.0, 3))
+        assert counter.rows == k
+    problem.evaluate(rng.uniform(-1.0, 1.0, (4, 3)))
+    assert counter.rows == 29
 
 
 def test_problem_rejects_dimension_mismatch():

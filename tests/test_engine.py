@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, count_evaluations
 
-from ansearch.benchmarks import make_problem
-from ansearch.core import RngStream, SearchBounds, init_position
-from ansearch.engine import AnsParams, PopulationState, init_population, run, step, update_position
+from ansearch.baselines import DeParams, PsoParams, SwarmState, de_step, pso_step
+from ansearch.benchmarks import make_problem, make_rotation_matrix
+from ansearch.core import ObjectiveProblem, RngStream, SearchBounds
+from ansearch.engine import (SUCCESS_THRESHOLD, AnsParams, PopulationState, init_population, run,
+                             run_loop, step, update_position)
 
 WIDE = SearchBounds(-1e9, 1e9, 2)
 
@@ -271,12 +274,13 @@ def test_step_consumes_population_size_evaluations():
     # Two runs: each run's sweep is one evaluation per individual, and the
     # problem counts the points of both.
     problem = make_problem("f7", 3)
+    counter = count_evaluations(problem)
     params = make_params(max_evals=10_000)
     state = run_initial(problem, params, seeds=[3, 5])
-    before = problem.eval_count
+    before = counter.rows
     step(state, problem, params, [RngStream(4), RngStream(6)])
-    assert problem.eval_count - before == 2 * params.population_size
-    assert 2 * state.evals_used == problem.eval_count
+    assert counter.rows - before == 2 * params.population_size
+    assert 2 * state.evals_used == counter.rows
 
 
 def run_initial(problem, params, seeds):
@@ -311,6 +315,7 @@ def test_step_superior_fitness_never_increases():
 
 def test_step_stops_cleanly_on_budget():
     problem = make_problem("f1", 3)
+    counter = count_evaluations(problem)
     params = make_params(max_evals=50)  # 20 init + 20 + 10: second sweep is partial
     state = run_initial(problem, params, seeds=[2, 4])
     rngs = [RngStream(3), RngStream(5)]
@@ -318,7 +323,7 @@ def test_step_stops_cleanly_on_budget():
     assert state.evals_used == 40
     step(state, problem, params, rngs)
     assert state.evals_used == 50
-    assert problem.eval_count == 2 * 50
+    assert counter.rows == 2 * 50
 
 
 def test_improvement_liveness_on_sphere():
@@ -342,7 +347,8 @@ def test_run_budget_of_initial_population_only():
     result = run_one(problem, params, seed=91)
     # Replay the initialization draws: the result is the best initial sample.
     rng = RngStream(91)
-    fits = [problem.evaluator(init_position(rng, problem.bounds), None) for _ in range(20)]
+    fits = [problem.evaluator(rng.uniform(problem.bounds.lo, problem.bounds.hi, 4), None)
+            for _ in range(20)]
     assert result.best_fitness == min(fits)
     assert result.evals_used == 20
     assert result.generations == 0
@@ -418,3 +424,137 @@ def test_run_success_bookkeeping_matches_threshold():
     # The best fitness at the success point was already below the threshold.
     crossing = [fit for evals, fit in result.history if evals >= result.evals_to_success]
     assert crossing and crossing[0] < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# NaN fitness: never adopted by any memory
+# ---------------------------------------------------------------------------
+
+def sphere_with_nans(nan_calls, dim=3):
+    """A sphere whose evaluation calls numbered in ``nan_calls`` (from 1)
+    return NaN for every row; ``None`` makes every call NaN."""
+    calls = []
+
+    def evaluator(x, rngs):
+        calls.append(x)
+        fit = np.sum(x * x, axis=-1)
+        return np.full_like(fit, np.nan) if nan_calls is None or len(calls) in nan_calls else fit
+
+    return ObjectiveProblem("nan_sphere", SearchBounds(-5.0, 5.0, dim), evaluator)
+
+
+def watch_superiors(problem, params, size, state_cls, step_fn, seeds=(7,)):
+    """The batch of a run_loop call, and a copy of the superior fitness it
+    had at each generation."""
+    seen = []
+    batch = run_loop(problem, params, list(seeds), size, state_cls, step_fn,
+                     on_generation=lambda state: seen.append(state.superior_fitness.copy()))
+    return batch, seen
+
+
+def test_nan_first_evaluation_does_not_pin_the_best():
+    # This run's first evaluation used to become its best: best_fitness and
+    # every history entry were NaN for all 200 evaluations.
+    params = make_params(population_size=5, max_evals=200)
+    batch, seen = watch_superiors(sphere_with_nans({1}), params, 5, PopulationState, step)
+    result = batch.runs[0]
+    assert np.isfinite(result.best_fitness)
+    assert all(np.isfinite(fit) for _, fit in result.history)
+    # Individual 0's NaN left its superior fitness at +inf; the others were adopted.
+    assert seen[0][0, 0] == np.inf and np.all(np.isfinite(seen[0][0, 1:]))
+    assert result.history[0][1] == seen[0][0, 1:].min()
+
+
+def test_nan_initial_evaluation_does_not_pin_a_superior():
+    # Individual 1's superior fitness used to stay NaN for the whole run.
+    params = make_params(population_size=5, max_evals=2_000)
+    _, seen = watch_superiors(sphere_with_nans({2}), params, 5, PopulationState, step)
+    assert seen[0][0, 1] == np.inf
+    assert np.all(np.isfinite(seen[-1]))
+
+
+@pytest.mark.parametrize("alg", ["ans", "pso", "de"])
+def test_all_nan_objective_adopts_nothing(alg):
+    state_cls, step_fn, params = {
+        "ans": (PopulationState, step, make_params(population_size=5, max_evals=60)),
+        "pso": (SwarmState, pso_step, PsoParams(swarm_size=5, max_evals=60)),
+        "de": (PopulationState, de_step, DeParams(pop_size=5, max_evals=60)),
+    }[alg]
+    batch, seen = watch_superiors(sphere_with_nans(None), params, 5, state_cls, step_fn,
+                              seeds=(1, 2))
+    for result in batch.runs:
+        assert result.best_fitness == np.inf
+        assert np.all(np.isnan(result.best_position))
+        assert result.evals_to_success is None
+        assert [fit for _, fit in result.history] == [np.inf] * len(result.history)
+    assert all(np.all(fitness == np.inf) for fitness in seen)
+
+
+# ---------------------------------------------------------------------------
+# Initialization is generation 0 of the sweep
+# ---------------------------------------------------------------------------
+
+def loop_initializer(problem, size, max_evals, rngs):
+    """Oracle: the initializer as its own loop.  Every point is drawn, also
+    past the budget; evaluation stops once ``max_evals`` is used; each
+    evaluated fitness is written as its individual's superior fitness, and
+    a run's first evaluation is its best."""
+    runs, dim = len(rngs), problem.bounds.dim
+    positions = np.empty((runs, size, dim))
+    superior_fitness = np.full((runs, size), np.inf)
+    best = best_fitness = None
+    evals_to_success = np.zeros(runs, dtype=np.int64)
+    evals_used = 0
+    for i in range(size):
+        for r, rng in enumerate(rngs):
+            positions[r, i] = rng.uniform(problem.bounds.lo, problem.bounds.hi, dim)
+        if evals_used < max_evals:
+            x = positions[:, i]
+            fit = problem.evaluate(x, rngs)
+            evals_used += 1
+            np.copyto(evals_to_success, evals_used,
+                      where=(fit < SUCCESS_THRESHOLD) & (evals_to_success == 0))
+            if best is None:
+                best, best_fitness = x.copy(), fit.copy()
+            else:
+                better = fit < best_fitness
+                np.copyto(best, x, where=better[:, None])
+                np.copyto(best_fitness, fit, where=better)
+            superior_fitness[:, i] = fit
+    return dict(positions=positions, superiors=positions.copy(),
+                superior_fitness=superior_fitness, best=best, best_fitness=best_fitness,
+                evals_to_success=evals_to_success, evals_used=evals_used)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+@given(fid=st.sampled_from(["f1", "f6", "f11", "f13"]), runs=st.sampled_from([1, 3]),
+       size=st.integers(1, 12), dim=st.integers(1, 6), budget=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_init_population_matches_loop_oracle(fid, runs, size, dim, budget, seed):
+    rotation = make_rotation_matrix(dim, seed) if fid == "f13" else None
+    problem = make_problem(fid, dim, rotation=rotation)
+    oracle_rngs = [RngStream((seed, r)) for r in range(runs)]
+    rngs = [RngStream((seed, r)) for r in range(runs)]
+    want = loop_initializer(problem, size, budget, oracle_rngs)
+    state = init_population(problem, PopulationState, size, budget, rngs)
+
+    assert state.evals_used == want["evals_used"] == min(budget, size)
+    assert state.generation == 0
+    for name in ("best", "best_fitness", "evals_to_success"):
+        assert bits(getattr(state, name)) == bits(want[name]), name
+    done = min(budget, size)
+    for name in ("positions", "superiors", "superior_fitness"):
+        assert bits(getattr(state, name)[:, :done]) == bits(want[name][:, :done]), name
+    if budget >= size:
+        # The streams are where the oracle left them.
+        for rng, oracle_rng in zip(rngs, oracle_rngs):
+            assert rng.generator.bit_generator.state == oracle_rng.generator.bit_generator.state
+    else:
+        # Individuals the budget never reaches are never drawn.
+        assert np.all(np.isnan(state.positions[:, done:]))
+        assert np.all(np.isnan(state.superiors[:, done:]))
+        assert np.all(state.superior_fitness[:, done:] == np.inf)
+    assert state.superiors is not state.positions

@@ -92,6 +92,12 @@ def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(tmp_path / "missing.cfg")
     assert err.value.code == "missing_file"
+    # Bytes that are not UTF-8 raised UnicodeDecodeError, a traceback.
+    not_text = tmp_path / "not_text.cfg"
+    not_text.write_bytes(b"functions = f1\ndimensions = 3 \xff\xfe\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(not_text)
+    assert err.value.code == "syntax" and f"{not_text} line 2:" in str(err.value)
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f1\ndimensions = 5\nthis is not a pair\n")
     assert err.value.code == "syntax"
@@ -399,6 +405,8 @@ MALFORMED_RESULTS = {
     "non_numeric_field": (RESULTS_HEADER + "0,11,1.5,,400\n1,12,low,,400\n", 3),
     # A repeated run counted twice: stats wrote mean 1.666667 for two runs of mean 2.
     "repeated_run_index": (RESULTS_HEADER + "0,11,1.0,,400\n0,11,1.0,,400\n1,12,3.0,,400\n", 3),
+    # The byte 0xff, which is not UTF-8, raised UnicodeDecodeError.
+    "not_utf8": (RESULTS_HEADER + "0,11,1.0,,400\n1,12,3.0\udcff,,400\n", 3),
 }
 
 
@@ -406,7 +414,7 @@ MALFORMED_RESULTS = {
 def test_stats_rejects_malformed_results_file(tmp_path, capsys, case):
     text, line = MALFORMED_RESULTS[case]
     path = tmp_path / "results_ans_f1.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))   # "\udcff" is the byte 0xff
     with pytest.raises(ConfigError) as err:
         read_results_csv(str(path))
     assert err.value.code == "syntax" and f"{path} line {line}:" in str(err.value)
@@ -520,6 +528,23 @@ def test_trace_initial_snapshot_is_uniform_scatter(tmp_path):
     snap = snapshots[0]
     np.testing.assert_array_equal(snap.positions, snap.superiors)
     assert snap.positions.min() >= -5.12 and snap.positions.max() <= 5.12
+
+
+def test_trace_budget_below_population_leaves_undrawn_rows_nan(tmp_path):
+    # Initialization stops with the budget: individuals 3 and 4 are never
+    # drawn, so their position and superior are written as nan.
+    config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
+                         max_evals=3, population_size=5)
+    result, _, _ = trace(config, gens=[0])
+    assert result.evals_used == 3 and result.generations == 0
+    rows = read_lines(os.path.join(config.output_dir, "trace_gen0.csv"))[1:]
+    assert len(rows) == 10
+    for row in rows:
+        _, kind, idx, *coords = row.split(",")
+        assert (coords == ["nan", "nan"]) == (int(idx) >= 3), row
+        assert all(-5.12 <= float(v) <= 5.12 for v in coords if v != "nan"), row
+    individuals = [row.split(",", 3)[3] for row in rows[:5]]
+    assert individuals == [row.split(",", 3)[3] for row in rows[5:]]
 
 
 def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
@@ -784,6 +809,23 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "t").exists() and not (tmp_path / "s").exists()
     assert cli.main(["stats", str(tmp_path / "no_such_dir")]) == 2
     assert "missing_file" in capsys.readouterr().err
+
+
+def test_cli_rejects_workers_below_one_before_any_run(tmp_path, monkeypatch, capsys):
+    # --workers 0 or below used to be accepted and run serially.
+    calls = []
+    monkeypatch.setattr(harness, "execute_job", calls.append)
+    base = TINY.format(out=tmp_path / "out")
+    cfg = write_config(tmp_path, base, "ans.cfg")
+    de_cfg = write_config(tmp_path, base.replace("algorithm = ans", "algorithm = de"), "de.cfg")
+    for argv in (["run", str(cfg), "--workers", "0"],
+                 ["run", str(cfg), "--workers", "-3"],
+                 ["sweep", str(cfg), "--param", "sigma", "--values", "0.5", "--workers", "0"],
+                 ["compare", str(cfg), str(de_cfg), "--workers", "-1"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid_value" in err[0] and "workers" in err[0], argv
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("output_dir", ["file/sub", ""])
