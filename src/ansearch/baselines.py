@@ -13,12 +13,12 @@ community-standard canonical settings, not tuned variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream
-from .engine import PopulationState, RunBatch, _check_budget, run_loop, sweep
+from .engine import PopulationState, RunBatch, _check_budget, draw_blocks, run_loop, sweep
 
 
 @dataclass(frozen=True)
@@ -79,20 +79,22 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
     """One generation of the inertia-weight velocity/position update in
     every run (see :func:`~ansearch.engine.sweep`).
 
-    v <- w v + c1 r1 (pbest - x) + c2 r2 (best - x) with fresh uniform
-    r1, r2 per dimension; pbest is the individual's superior.
+    v <- w v + c1 r1 (pbest - x) + c2 r2 (best - x) with uniform r1, r2 per
+    dimension; pbest is the individual's superior.  A run with no best yet
+    (NaN: no finite evaluation so far) has no social pull.
     """
     bounds = problem.bounds
     v_max = params.v_max if params.v_max is not None else 0.5 * bounds.width
+    size, dim = state.positions.shape[1:]
+    r1, r2 = draw_blocks(rngs, lambda rng: (rng.uniform(0.0, 1.0, (size, dim)),
+                                            rng.uniform(0.0, 1.0, (size, dim))))
 
     def propose(i: int) -> np.ndarray:
         x = state.positions[:, i]
-        # Per run: all of r1, then all of r2.
-        r1 = np.array([rng.uniform(0.0, 1.0, bounds.dim) for rng in rngs])
-        r2 = np.array([rng.uniform(0.0, 1.0, bounds.dim) for rng in rngs])
+        social = np.where(np.isnan(state.best), 0.0, state.best - x)
         v = (params.inertia * state.velocities[:, i]
-             + params.c1 * r1 * (state.superiors[:, i] - x)
-             + params.c2 * r2 * (state.best - x))
+             + params.c1 * r1[i] * (state.superiors[:, i] - x)
+             + params.c2 * r2[i] * social)
         v.clip(-v_max, v_max, out=v)
         state.velocities[:, i] = v
         return bounds.clip(x + v)
@@ -104,16 +106,25 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
 # DE (rand/1/bin)
 # ---------------------------------------------------------------------------
 
-def _three_distinct(rng: RngStream, pop_size: int, exclude: int) -> Tuple[int, int, int]:
-    """Three distinct indices, none equal to ``exclude``."""
-    picks: List[int] = []
-    while len(picks) < 3:
-        j = rng.integer(pop_size - 1)
-        if j >= exclude:
-            j += 1
-        if j not in picks:
-            picks.append(j)
-    return picks[0], picks[1], picks[2]
+def _distinct_peers(picks: np.ndarray) -> np.ndarray:
+    """Row i's three distinct peers, none i, from (m, 3) raw picks with column
+    t on [0, m - 1 - t): shifting each past i and the earlier peers, in
+    ascending order, maps the picks one-to-one onto the ordered triples."""
+    taken = np.arange(len(picks))[:, None]
+    for j in picks.T:
+        for skip in np.sort(taken, axis=1).T:
+            j = j + (j >= skip)
+        taken = np.column_stack([taken, j])
+    return taken[:, 1:]
+
+
+def _de_draws(rng: RngStream, size: int, dim: int, crossover: float):
+    """One run's DE draws of a generation (see :class:`~ansearch.core.RngStream`):
+    the (m, 3) peers and the (m, D) crossover mask with its forced dimensions."""
+    peers = _distinct_peers(rng.integers(np.array([size - 1, size - 2, size - 3]), (size, 3)))
+    cross = rng.uniform(0.0, 1.0, (size, dim)) < crossover
+    cross[np.arange(size), rng.integers(dim, size)] = True
+    return peers, cross
 
 
 def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
@@ -121,20 +132,13 @@ def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
     """One generation of rand/1 mutation and binomial crossover with one
     forced dimension in every run; the sweep's strict-improvement memory
     update is DE's greedy selection, the superiors its population."""
-    pop = state.superiors
-    bounds = problem.bounds
-    rows = np.arange(len(rngs))
+    pop, rows = state.superiors, np.arange(len(rngs))[:, None]
+    peers, cross = draw_blocks(rngs, lambda rng: _de_draws(rng, *pop.shape[1:], params.crossover))
 
     def propose(i: int) -> np.ndarray:
-        # Per run: the three indices, the crossover uniforms, the forced dimension.
-        draws = [(_three_distinct(rng, params.pop_size, i), rng.uniform(0.0, 1.0, bounds.dim),
-                  rng.integer(bounds.dim)) for rng in rngs]
-        picks, uniforms, forced = zip(*draws)
-        peers = pop[rows[:, None], np.array(picks)]   # (R, 3, D)
-        donor = peers[:, 0] + params.weight * (peers[:, 1] - peers[:, 2])
-        cross = np.array(uniforms) < params.crossover
-        cross[rows, forced] = True
-        return bounds.clip(np.where(cross, donor, pop[:, i]))
+        donors = pop[rows, peers[i]]   # (R, 3, D)
+        donor = donors[:, 0] + params.weight * (donors[:, 1] - donors[:, 2])
+        return problem.bounds.clip(np.where(cross[i], donor, pop[:, i]))
 
     return sweep(state, problem, params.max_evals, rngs, propose)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 BOUNDARY_POLICIES = ("clamp", "none")
 ORTHOGONALITY_TOL = 1e-10   # max |M^T M - I| of a rotation matrix
+STREAM_VERSION = 2          # draw order of RngStream consumers, see RngStream
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,21 @@ class SearchBounds:
 
 
 class RngStream:
-    """Deterministic random stream (PCG64) with a fixed draw vocabulary.
+    """Deterministic random stream (PCG64) of one run, seeded by an integer
+    or a tuple of integers (entropy words).
 
-    All consumers use only the methods below, in a documented per-operation
-    order, so a run is bit-reproducible from its seed.  ``seed`` is a plain
-    integer or a tuple of integers (entropy words).
+    Stream version 2 (:data:`STREAM_VERSION`): at the start of a generation
+    a run draws all the generation needs as blocks over its m individuals,
+    and the sweep only indexes them.  Generation 0 draws the points,
+    ``uniform(lo, hi, (m, D))``.  ANS draws the dimensions of degree k
+    (k = 1: ``integers(D, (m, 1))``; k > 1: the first k columns of the
+    argsort of ``uniform(0, 1, (m, D))``), the peers ``integers(m - 1,
+    (m, k))``, each shifted past its individual, and ``standard_gaussian((m,
+    D))``.  PSO draws r1, then r2, each ``uniform(0, 1, (m, D))``.  DE draws
+    ``integers([m - 1, m - 2, m - 3], (m, 3))``, each pick shifted past its
+    individual and the earlier picks, the crossover uniforms ``uniform(0, 1,
+    (m, D))`` and the forced dimensions ``integers(D, m)``.  Then f6 draws
+    one ``uniform(0, 1)`` per evaluation, in sweep order.
     """
 
     def __init__(self, seed: Union[int, Sequence[int]]):
@@ -63,15 +74,9 @@ class RngStream:
     def standard_gaussian(self, size=None):
         return self.generator.standard_normal(size)
 
-    def integer(self, upper: int) -> int:
-        """One integer uniform on [0, upper)."""
-        return int(self.generator.integers(upper))
-
-    def integers(self, upper: int, size: int) -> np.ndarray:
+    def integers(self, upper, size) -> np.ndarray:
+        """Integers uniform on [0, upper); ``upper`` broadcasts against ``size``."""
         return self.generator.integers(0, upper, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
 
 
 @dataclass

@@ -10,9 +10,9 @@ mixing good components from several memories at once.
 
 The R runs of one call advance in lockstep: every state array carries a
 leading run axis, ``(R, m, D)``, and the only Python loops are over the m
-individuals and, for their draws, over the R streams.  Each run draws from
-its own :class:`RngStream` the same values in the same order as it would
-alone, so no result depends on which runs share a call.
+individuals and, once a generation for its draws, over the R streams.  Each
+run draws from its own :class:`RngStream` the same values in the same order
+as it would alone, so no result depends on which runs share a call.
 
 The PSO and DE baselines share everything here but the proposal rule: one
 state (:class:`PopulationState`; a PSO personal best and a DE target vector
@@ -145,45 +145,42 @@ class RunBatch:
 
 
 def update_position(positions: np.ndarray, superiors: np.ndarray, self_index: int,
-                    params: AnsParams, rngs: Sequence[RngStream],
+                    borrow: Tuple[np.ndarray, np.ndarray], noise: np.ndarray,
                     bounds: SearchBounds) -> np.ndarray:
     """Individual ``self_index``'s next position in every run, under the
     boundary policy of ``bounds``.
 
     ``positions`` (R, D) is the individual's current position and
     ``superiors`` (R, m, D) the superior pool, per run.  Per-dimension rule:
-    new value = s_d + G(0, sigma^2) * |s_d - current_d| where s_d is the
-    individual's own superior except on the across-search dimensions, which
-    each read an independently chosen peer superior.
-
-    Draw order per run (fixed for reproducibility): the across-search
-    dimensions, distinct and uniform; then one peer per selected dimension,
-    uniform over the other superiors; then one standard Gaussian per
-    dimension.
+    new value = s_d + G(0, sigma^2) * |s_d - current_d|, the G draws given as
+    ``noise`` (R, D), where s_d is the individual's own superior except on
+    the across-search dimensions, which read the peers ``borrow`` names.
     """
-    runs, dim = positions.shape
     base = superiors[:, self_index].copy()
-    degree = params.across_degree
+    into, source = borrow
+    if into.size:
+        base.put(into, superiors.take(source))
+    return bounds.clip(base + noise * np.abs(base - positions))
+
+
+def borrow_indices(dims: np.ndarray, peers: np.ndarray, shape: Tuple[int, int, int]):
+    """Flat indices of the across-search dimensions ``dims`` (..., R, k) in an
+    (R, D) point, and of those dimensions of superiors ``peers`` in a ``shape`` pool."""
+    runs, size, dim = shape
+    rows = np.arange(runs)[:, None]
+    return rows * dim + dims, (rows * size + peers) * dim + dims
+
+
+def _ans_draws(rng: RngStream, size: int, dim: int, degree: int):
+    """One run's ANS draws of a generation (see :class:`RngStream`): (m, k)
+    dimensions, (m, k) peers and (m, D) standard Gaussians."""
+    dims = peers = np.empty((size, 0), dtype=np.intp)
     if degree:
-        count = superiors.shape[1]
-        if count < 2:
-            raise ValueError("peer selection needs at least 2 superiors")
-        if degree == 1:
-            # Scalar draws, read straight into the row: cheaper than a
-            # gather at the run counts a batch has.
-            for r, rng in enumerate(rngs):
-                d = rng.integer(dim)
-                j = rng.integer(count - 1)
-                base[r, d] = superiors[r, j + (j >= self_index), d]
-        else:
-            picks = [(rng.permutation(dim)[:degree], rng.integers(count - 1, size=degree))
-                     for rng in rngs]
-            dims, peers = (np.array(column) for column in zip(*picks))
-            peers += peers >= self_index   # skip the individual's own superior
-            rows = np.arange(runs)[:, None]
-            base[rows, dims] = superiors[rows, peers, dims]
-    gauss = np.array([rng.standard_gaussian(dim) for rng in rngs])
-    return bounds.clip(base + (params.sigma * gauss) * np.abs(base - positions))
+        dims = (rng.integers(dim, (size, 1)) if degree == 1
+                else rng.uniform(0.0, 1.0, (size, dim)).argsort(axis=1)[:, :degree])
+        peers = rng.integers(size - 1, (size, degree))
+        peers += peers >= np.arange(size)[:, None]
+    return dims, peers, rng.standard_gaussian((size, dim))
 
 
 def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
@@ -195,30 +192,40 @@ def step(state: PopulationState, problem: ObjectiveProblem, params: AnsParams,
     are visible to later individuals (set ``frozen_superiors`` to give the
     whole sweep a fixed pool instead).
     """
-    bounds = problem.bounds
+    shape = state.superiors.shape
+    dims, peers, gauss = draw_blocks(
+        rngs, lambda rng: _ans_draws(rng, *shape[1:], params.across_degree))
+    into, source = borrow_indices(dims, peers, shape)
+    noise = params.sigma * gauss
     pool = state.superiors.copy() if params.frozen_superiors else state.superiors
     return sweep(state, problem, params.max_evals, rngs, lambda i: update_position(
-        state.positions[:, i], pool, i, params, rngs, bounds))
+        state.positions[:, i], pool, i, (into[i], source[i]), noise[i], problem.bounds))
 
 
 # ---------------------------------------------------------------------------
 # Shared population initializer, generation sweep and run loop (ANS, PSO, DE)
 # ---------------------------------------------------------------------------
 
+def draw_blocks(rngs: Sequence[RngStream], draw: Callable) -> List[np.ndarray]:
+    """Each run's ``draw(rng)``, a tuple of (m, ...) blocks, stacked into
+    (m, R, ...) blocks: ``block[i]`` holds individual i's draws of every run."""
+    return [np.stack(blocks, axis=1) for blocks in zip(*map(draw, rngs))]
+
+
 def init_population(problem: ObjectiveProblem, state_cls: Type[PopulationState], size: int,
                     max_evals: int, rngs: Sequence[RngStream]) -> PopulationState:
     """A ``state_cls`` of ``size`` individuals per run after generation 0,
-    one :func:`sweep` in which individual i tries a uniform point in the box
-    (per run: point i, then any noise its evaluation draws).  An individual
-    the budget never reaches is never drawn: it stays NaN at +inf fitness.
+    one :func:`sweep` in which individual i tries the i-th of its run's
+    uniform points in the box.  An individual the budget never reaches stays
+    NaN at +inf fitness.
     """
     runs, bounds = len(rngs), problem.bounds
     positions = np.full((runs, size, bounds.dim), np.nan)
-    state = state_cls(positions=positions, superiors=positions,  # copied once drawn
+    state = state_cls(positions=positions, superiors=positions,  # copied after the sweep
                       superior_fitness=np.full((runs, size), np.inf),
                       best=np.full((runs, bounds.dim), np.nan), best_fitness=np.full(runs, np.inf))
-    sweep(state, problem, max_evals, rngs, lambda i: np.array(
-        [rng.uniform(bounds.lo, bounds.hi, bounds.dim) for rng in rngs]))
+    points, = draw_blocks(rngs, lambda r: (r.uniform(bounds.lo, bounds.hi, (size, bounds.dim)),))
+    sweep(state, problem, max_evals, rngs, points.__getitem__)
     state.superiors = positions.copy()
     return state
 

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ScriptedRng, count_evaluations
+from conftest import count_evaluations, predrawn
 
 from ansearch.baselines import DeParams, PsoParams, SwarmState, de_step, pso_step
 from ansearch.benchmarks import make_problem, make_rotation_matrix
 from ansearch.core import ObjectiveProblem, RngStream, SearchBounds
-from ansearch.engine import (SUCCESS_THRESHOLD, AnsParams, PopulationState, init_population, run,
-                             run_loop, step, update_position)
+from ansearch import engine
+from ansearch.engine import (SUCCESS_THRESHOLD, AnsParams, PopulationState, _ans_draws,
+                             borrow_indices, draw_blocks, init_population, run, run_loop, step,
+                             update_position)
 
 WIDE = SearchBounds(-1e9, 1e9, 2)
 
@@ -44,6 +46,21 @@ def test_params_validation():
 # Dimension and peer selection, seen through update_position
 # ---------------------------------------------------------------------------
 
+def ans_draws(rngs, size, dim, degree):
+    """One ANS generation's draws of every run, individual-major."""
+    return draw_blocks(rngs, lambda rng: _ans_draws(rng, size, dim, degree))
+
+
+def update_drawn(positions, superiors, self_index, params, rngs, bounds):
+    """Individual ``self_index``'s update in every run, with one generation's
+    draws from ``rngs``."""
+    runs, size, dim = superiors.shape
+    dims, peers, gauss = ans_draws(rngs, size, dim, params.across_degree)
+    borrow = borrow_indices(dims[self_index], peers[self_index], superiors.shape)
+    return update_position(positions, superiors, self_index, borrow,
+                           params.sigma * gauss[self_index], bounds)
+
+
 def across_dims(rngs, dim, degree):
     """(R, D) mask of the across-search dimensions each run picks: own
     superiors and positions are 0 and every peer superior is 1, so exactly
@@ -51,8 +68,8 @@ def across_dims(rngs, dim, degree):
     superiors = np.zeros((len(rngs), 3, dim))
     superiors[:, 1:] = 1.0
     params = make_params(population_size=3, across_degree=degree)
-    new = update_position(np.zeros((len(rngs), dim)), superiors, 0, params, rngs,
-                          SearchBounds(-1e9, 1e9, dim))
+    new = update_drawn(np.zeros((len(rngs), dim)), superiors, 0, params, rngs,
+                       SearchBounds(-1e9, 1e9, dim))
     return new != 0.0
 
 
@@ -90,8 +107,8 @@ def test_select_peer_superior():
     def peers(count, self_index, rngs):
         superiors = np.tile(np.arange(count, dtype=float)[:, None], (len(rngs), 1, 1))
         params = make_params(population_size=count, across_degree=1, sigma=1e-9)
-        new = update_position(np.full((len(rngs), 1), float(self_index)), superiors,
-                              self_index, params, rngs, SearchBounds(-1e9, 1e9, 1))
+        new = update_drawn(np.full((len(rngs), 1), float(self_index)), superiors,
+                           self_index, params, rngs, SearchBounds(-1e9, 1e9, 1))
         return np.rint(new[:, 0]).astype(int)
 
     with pytest.raises(ValueError):
@@ -107,35 +124,45 @@ def test_select_peer_superior():
     assert np.all(np.abs(others - 1.0 / 19.0) < 0.005)
 
 
+@given(size=st.integers(2, 40), dim=st.integers(1, 40), degree=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_ans_draws_distinct_dimensions_and_peers_past_self(size, dim, degree, seed):
+    degree = min(degree, dim)
+    dims, peers, gauss = _ans_draws(RngStream(seed), size, dim, degree)
+    assert dims.shape == peers.shape == (size, degree) and gauss.shape == (size, dim)
+    assert np.all((dims >= 0) & (dims < dim))
+    assert all(len(set(row)) == degree for row in dims.tolist())
+    assert np.all((peers >= 0) & (peers < size))
+    assert np.all(peers != np.arange(size)[:, None])
+
+
 # ---------------------------------------------------------------------------
 # Position update rule
 # ---------------------------------------------------------------------------
 
 def update_one(position, superiors, self_index, params, rng, bounds):
-    """One run's update: a 1-run batch of ``update_position``."""
-    return update_position(position[None], superiors[None], self_index, params, [rng],
-                           bounds)[0]
+    """One run's update: a 1-run batch of ``update_drawn``."""
+    return update_drawn(position[None], superiors[None], self_index, params, [rng], bounds)[0]
+
+
+NO_DIMS = np.empty((1, 0), dtype=np.intp)
 
 
 def test_update_position_across_dimension_with_zero_gaussian():
     # Selected dimension reads the peer superior, the other keeps its own;
     # a zero Gaussian lands exactly on the superior values.  Two runs with
-    # the same pool pick different dimensions from their own streams.
-    superiors = np.array([[2.0, 2.0], [4.0, 0.0]])
-    rngs = [ScriptedRng(integer_draws=[0, 0], gaussian_value=0.0),  # dim 0; peer -> index 1
-            ScriptedRng(integer_draws=[1, 0], gaussian_value=0.0)]  # dim 1; peer -> index 1
-    new = update_position(np.zeros((2, 2)), np.stack([superiors, superiors]), 0,
-                          make_params(population_size=2), rngs, WIDE)
+    # the same pool pick different dimensions.
+    superiors = np.stack([[[2.0, 2.0], [4.0, 0.0]]] * 2)
+    borrow = borrow_indices(np.array([[0], [1]]), np.array([[1], [1]]), superiors.shape)
+    new = update_position(np.zeros((2, 2)), superiors, 0, borrow, np.zeros((2, 2)), WIDE)
     np.testing.assert_array_equal(new, np.array([[4.0, 2.0], [2.0, 0.0]]))
-    assert all(not rng.integer_draws for rng in rngs)
 
 
 def test_update_position_own_neighbourhood_with_unit_gaussian():
     superiors = np.array([[2.0, 2.0], [9.0, 9.0]])
-    rng = ScriptedRng(gaussian_value=1.0)
-    params = make_params(population_size=2, across_degree=0, sigma=1.0)
-    new = update_one(np.zeros(2), superiors, 0, params, rng, WIDE)
-    np.testing.assert_array_equal(new, np.array([4.0, 4.0]))
+    new = update_position(np.zeros((1, 2)), superiors[None], 0, (NO_DIMS, NO_DIMS),
+                          np.ones((1, 2)), WIDE)   # sigma 1, a unit Gaussian
+    np.testing.assert_array_equal(new, np.array([[4.0, 4.0]]))
 
 
 def test_update_position_fixed_point_when_position_equals_superior():
@@ -165,7 +192,7 @@ def test_update_position_n0_matches_direct_rule_and_reads_no_peers():
     params = AnsParams(population_size=2, across_degree=0, sigma=0.5, max_evals=10)
     bounds = SearchBounds(-1e9, 1e9, 3)
     new = update_one(pos, superiors, 0, params, RngStream(21), bounds)
-    gauss = RngStream(21).standard_gaussian(3)  # same stream replayed
+    gauss = RngStream(21).standard_gaussian((2, 3))[0]  # same stream replayed: row 0 of the block
     np.testing.assert_array_equal(new, own + 0.5 * gauss * np.abs(own - pos))
 
 
@@ -207,7 +234,7 @@ def test_update_position_search_band_coverage():
 # Superior update
 # ---------------------------------------------------------------------------
 
-def test_update_superior_improvement_tie_and_worse():
+def test_update_superior_improvement_tie_and_worse(monkeypatch):
     # 1-D sphere, no peer borrowing, sigma 1 and a Gaussian of -1: each
     # individual moves to s - |s - x|.  Individual 0 improves (1.75 -> 0.25,
     # fitness 0.0625 < 1), individual 1 ties (3 -> -1, fitness 1 == 1) and
@@ -219,7 +246,9 @@ def test_update_superior_improvement_tie_and_worse():
         superiors=np.array([[[1.0], [1.0], [0.5]]]),
         superior_fitness=np.array([[1.0, 1.0, 0.25]]),
         best=np.array([[0.5]]), best_fitness=np.array([0.25]))
-    step(state, problem, params, [ScriptedRng(gaussian_value=-1.0)])
+    none = np.empty((3, 1, 0), dtype=np.intp)   # individual-major: (m, R, k)
+    predrawn(monkeypatch, engine, none, none, np.full((3, 1, 1), -1.0))
+    step(state, problem, params, [RngStream(0)])
 
     # The position always follows the new point.
     np.testing.assert_array_equal(state.positions[0], [[0.25], [-1.0], [-1.0]])
@@ -245,16 +274,17 @@ def manual_state(positions, fitnesses):
         best=positions[:, best].copy(), best_fitness=fitnesses[:, best].copy())
 
 
-def test_step_live_superior_reads_within_sweep():
+def test_step_live_superior_reads_within_sweep(monkeypatch):
     # Individual 1 updates after individual 0 and immediately sees 0's
     # refreshed superior; freezing the pool reproduces the sweep-start value.
     problem = make_problem("f1", 1)
-    script = [0, 0, 0, 0]  # per individual: dimension pick, then peer pick
+    # Individual-major blocks of one run: dimension 0, the other individual
+    # as peer, a Gaussian of -1.
+    predrawn(monkeypatch, engine, [[[0]], [[0]]], [[[1]], [[0]]], np.full((2, 1, 1), -1.0))
     params = AnsParams(population_size=2, across_degree=1, sigma=0.5, max_evals=100)
 
     state = manual_state([[4.0], [1.0]], [16.0, 1.0])
-    rng = ScriptedRng(integer_draws=list(script), gaussian_value=-1.0)
-    step(state, problem, params, [rng])
+    step(state, problem, params, [RngStream(0)])
     # indiv 0: peer=1 -> 1 + (-0.5)*|1-4| = -0.5, fitness 0.25, becomes its superior
     # indiv 1: peer=0 live -> -0.5 + (-0.5)*|-0.5-1| = -1.25
     np.testing.assert_allclose(state.positions[0], [[-0.5], [-1.25]])
@@ -264,8 +294,7 @@ def test_step_live_superior_reads_within_sweep():
     frozen_params = AnsParams(population_size=2, across_degree=1, sigma=0.5,
                               max_evals=100, frozen_superiors=True)
     state = manual_state([[4.0], [1.0]], [16.0, 1.0])
-    rng = ScriptedRng(integer_draws=list(script), gaussian_value=-1.0)
-    step(state, make_problem("f1", 1), frozen_params, [rng])
+    step(state, make_problem("f1", 1), frozen_params, [RngStream(0)])
     # indiv 1 now reads 0's sweep-start superior: 4 + (-0.5)*|4-1| = 2.5
     np.testing.assert_allclose(state.positions[0], [[-0.5], [2.5]])
 
@@ -345,11 +374,9 @@ def test_run_budget_of_initial_population_only():
     params = make_params(max_evals=20)
     problem = make_problem("f1", 4)
     result = run_one(problem, params, seed=91)
-    # Replay the initialization draws: the result is the best initial sample.
-    rng = RngStream(91)
-    fits = [problem.evaluator(rng.uniform(problem.bounds.lo, problem.bounds.hi, 4), None)
-            for _ in range(20)]
-    assert result.best_fitness == min(fits)
+    # Replay the initialization block: the result is the best initial sample.
+    points = RngStream(91).uniform(problem.bounds.lo, problem.bounds.hi, (20, 4))
+    assert result.best_fitness == problem.evaluator(points, None).min()
     assert result.evals_used == 20
     assert result.generations == 0
 
@@ -495,19 +522,19 @@ def test_all_nan_objective_adopts_nothing(alg):
 # ---------------------------------------------------------------------------
 
 def loop_initializer(problem, size, max_evals, rngs):
-    """Oracle: the initializer as its own loop.  Every point is drawn, also
-    past the budget; evaluation stops once ``max_evals`` is used; each
-    evaluated fitness is written as its individual's superior fitness, and
-    a run's first evaluation is its best."""
+    """Oracle: the initializer as its own loop, in stream version 2's order.
+    Each run draws all its points first, as one block, also past the
+    budget; evaluation (and f6's noise draw) stops once ``max_evals`` is
+    used; each evaluated fitness is written as its individual's superior
+    fitness, and a run's first evaluation is its best."""
     runs, dim = len(rngs), problem.bounds.dim
-    positions = np.empty((runs, size, dim))
+    positions = np.array([rng.uniform(problem.bounds.lo, problem.bounds.hi, (size, dim))
+                          for rng in rngs])
     superior_fitness = np.full((runs, size), np.inf)
     best = best_fitness = None
     evals_to_success = np.zeros(runs, dtype=np.int64)
     evals_used = 0
     for i in range(size):
-        for r, rng in enumerate(rngs):
-            positions[r, i] = rng.uniform(problem.bounds.lo, problem.bounds.hi, dim)
         if evals_used < max_evals:
             x = positions[:, i]
             fit = problem.evaluate(x, rngs)
@@ -548,12 +575,11 @@ def test_init_population_matches_loop_oracle(fid, runs, size, dim, budget, seed)
     done = min(budget, size)
     for name in ("positions", "superiors", "superior_fitness"):
         assert bits(getattr(state, name)[:, :done]) == bits(want[name][:, :done]), name
-    if budget >= size:
-        # The streams are where the oracle left them.
-        for rng, oracle_rng in zip(rngs, oracle_rngs):
-            assert rng.generator.bit_generator.state == oracle_rng.generator.bit_generator.state
-    else:
-        # Individuals the budget never reaches are never drawn.
+    # The streams are where the oracle left them.
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.generator.bit_generator.state == oracle_rng.generator.bit_generator.state
+    if budget < size:
+        # Individuals the budget never reaches never try their point.
         assert np.all(np.isnan(state.positions[:, done:]))
         assert np.all(np.isnan(state.superiors[:, done:]))
         assert np.all(state.superior_fitness[:, done:] == np.inf)

@@ -550,8 +550,10 @@ def test_trace_budget_below_population_leaves_undrawn_rows_nan(tmp_path):
 def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
     # 2-D Rastrigin with default parameters: by generation 80 every superior
     # solution of this seeded run has collapsed onto the global optimum.
+    # About one such run in five settles at a local minimum instead (the
+    # run of master seed 1 does under stream version 2).
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
-                         max_evals=20 * 85, master_seed=1)
+                         max_evals=20 * 85, master_seed=2)
     _, snapshots, warnings = trace(config, gens=[80])
     assert not warnings
     superiors = snapshots[0].superiors
@@ -648,9 +650,9 @@ def test_compare_shares_rotation_across_algorithms(tmp_path):
 # refactor that should not change any result can be checked against it.  It
 # also pins the numpy/OpenBLAS build it was computed with (rotation matrices
 # come from a QR factorization).  A deliberate change of the RNG stream order
-# (a STREAM_VERSION bump, ROADMAP item 3) is the only expected reason to
+# (a STREAM_VERSION bump, ROADMAP item 1) is the only expected reason to
 # update it.
-GOLDEN_COMPARE_SHA256 = "487be7c45b4ed501aed44122dd80c08b386cc71d521628e425a004b096dc36d8"
+GOLDEN_COMPARE_SHA256 = "bf9b8db8fb0bc0ad09d222250d46cebe0b27898e6545b2a3e21cfd4090c9b67e"
 
 
 def tree_sha256(root):
@@ -677,7 +679,7 @@ def test_compare_report_golden_digest(tmp_path):
 # success threshold on f5), a budget that ends during initialization and one
 # that ends mid-sweep.  Same provenance and update
 # rule as GOLDEN_COMPARE_SHA256.
-GOLDEN_BATCH_SHA256 = "b44cae78c28daabcc6017b2370c1c915d6b9f68c6f5bef8655f08df8f125db3b"
+GOLDEN_BATCH_SHA256 = "c1a52fe0e48b0e6ccbae77db3b87ba314cfee041d9ec411c8ec504e0a25a58b3"
 GOLDEN_BATCH_CASES = [
     ("ans", dict(boundary_policy="none", frozen_superiors=True, max_evals=107)),
     ("ans", dict(max_evals=7)),
@@ -704,9 +706,9 @@ def test_batch_report_golden_digest(tmp_path):
 # D = 12 and D = 30, so every objective (and the f11/f12 boundary penalty)
 # is pinned at sizes above the 8-term unrolled block of numpy's pairwise
 # summation; the two digests above reach only f1, f5-f8 and f13 at D <= 4.
-# ans covers the permutation path of the dimension draw on f1 and f13.  Same
-# provenance and update rule as GOLDEN_COMPARE_SHA256.
-GOLDEN_ALL18_SHA256 = "27de9f45c48cab74c0aa10e109de7b11998ea086b58da595849923b80ca1780d"
+# ans covers the argsort path (degree k > 1) of the dimension draw on f1 and
+# f13.  Same provenance and update rule as GOLDEN_COMPARE_SHA256.
+GOLDEN_ALL18_SHA256 = "5c7680c166aa26ea6f5526ed8fd524c5e2c96e323ffa346862469d98f6578e98"
 GOLDEN_ALL18_CASES = [
     ("ans", dict(n_per_function={"f1": 5, "f13": 12})),
     ("pso", dict()),
@@ -730,7 +732,7 @@ def test_all18_report_golden_digest(tmp_path):
 # generation beyond termination, and the reports of a batch whose every job
 # failed with a message holding a field and a line separator.  Same
 # provenance and update rule as GOLDEN_COMPARE_SHA256.
-GOLDEN_SWEEP_TRACE_SHA256 = "78729ff9eb2a96019ac9d3228b70114ea3d68d2986ccdf5392443bbd3d2d2cf0"
+GOLDEN_SWEEP_TRACE_SHA256 = "8c172feba49d342b7b21db812b0f4824cec0e50e3dd4e70c0855be846c55c115"
 
 
 def test_sweep_trace_failures_golden_digest(tmp_path, monkeypatch):
