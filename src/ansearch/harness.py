@@ -335,51 +335,54 @@ class BatchResult:
     failures: List[Tuple[str, int, str]]
 
 
+def _run_configs(configs: Sequence[ExperimentConfig], workers: int) -> List[BatchResult]:
+    """The batch of each config, in order, from one job list run through one
+    pool.  A job holds all of a function's runs; only when there are fewer
+    (config, function) pairs than workers is each cut into
+    ``ceil(workers / pairs)`` contiguous chunks, so that no worker idles."""
+    # More workers than cores or jobs would only add idle processes.
+    workers = min(workers, os.cpu_count() or 1)
+    chunks = -(-workers // sum(len(cfg.functions) for cfg in configs))
+    per_config = [_make_jobs(cfg, chunks) for cfg in configs]
+    jobs = [job for cfg_jobs in per_config for job in cfg_jobs]
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        outcomes = iter([_safe_execute(job) for job in jobs])
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = iter(list(pool.map(_safe_execute, jobs)))
+
+    batches = []
+    for config, cfg_jobs in zip(configs, per_config):
+        results: Dict[str, List[Optional[RunResult]]] = {fid: [] for fid in config.functions}
+        failures: List[Tuple[str, int, str]] = []
+        # A function's chunks are contiguous and in run order, and pool.map
+        # keeps job order, so its runs and failures are gathered in run order.
+        for job in cfg_jobs:
+            runs, err = next(outcomes)
+            results[job.function_id] += runs
+            if err is not None:
+                failures += [(job.function_id, idx, err) for idx in job.run_indices]
+        summaries: Dict[str, stats.FunctionSummary] = {}
+        for fid, rows in results.items():
+            done = [r for r in rows if r is not None]
+            if done:
+                summaries[fid] = stats.summarize([r.best_fitness for r in done],
+                                                 [r.evals_to_success for r in done])
+        batches.append(BatchResult(config.algorithm, results, summaries, failures))
+    return batches
+
+
 def run_batch(config: ExperimentConfig, workers: int = 1,
               output_dir: Optional[str] = None, write_files: bool = True) -> BatchResult:
-    """Execute runs x functions, summarize, and write report files.
-
-    Output is deterministic for a fixed config + master_seed: every run
-    carries its derived seed and the runs are gathered in job order, which
-    is (function, run_index) order, so neither the worker count nor the
-    chunking of runs into jobs changes any byte of output.  The output
-    directory is made before the first run.
-    """
+    """One config's batch (see :func:`_run_configs`) and its report files in
+    ``output_dir``, by default the config's, which is made before any run."""
     out_dir = output_dir if output_dir is not None else config.output_dir
     validate_config(config)
     _check_workers(workers)
     if write_files:
         _make_output_dirs(out_dir)
-    # More workers than cores or jobs would only add idle processes; each
-    # worker gets one chunk of every function's runs.
-    workers = min(workers, os.cpu_count() or 1)
-    jobs = _make_jobs(config, workers)
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        outcomes = [_safe_execute(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_safe_execute, jobs))
-
-    results: Dict[str, List[Optional[RunResult]]] = {fid: [] for fid in config.functions}
-    failures: List[Tuple[str, int, str]] = []
-    # _make_jobs lists each function's chunks contiguously in ascending run
-    # order, and pool.map keeps job order, so appending each job's runs puts
-    # every function's runs, and the failures, in run-index order.
-    for job, (runs, err) in zip(jobs, outcomes):
-        results[job.function_id] += runs
-        if err is not None:
-            failures += [(job.function_id, idx, err) for idx in job.run_indices]
-
-    summaries: Dict[str, stats.FunctionSummary] = {}
-    for fid, rows in results.items():
-        done = [r for r in rows if r is not None]
-        if done:
-            summaries[fid] = stats.summarize([r.best_fitness for r in done],
-                                             [r.evals_to_success for r in done])
-
-    batch = BatchResult(algorithm=config.algorithm, results=results,
-                        summaries=summaries, failures=failures)
+    batch, = _run_configs([config], workers)
     if write_files:
         write_batch_files(config, batch, out_dir)
     return batch
@@ -517,13 +520,10 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
     _check_workers(workers)
     _make_output_dirs(config.output_dir)
 
-    per_value: List[Tuple[float, Dict[str, stats.FunctionSummary]]] = []
-    failures: List[Tuple[str, int, str]] = []
-    for value, cfg in configs:
-        batch = run_batch(cfg, workers=workers, write_files=False)
-        per_value.append((value, batch.summaries))
-        failures += [(fid, idx, f"{parameter} = {_fmt_value(value)}: {msg}")
-                     for fid, idx, msg in batch.failures]
+    batches = _run_configs([cfg for _, cfg in configs], workers)
+    per_value = [(value, batch.summaries) for (value, _), batch in zip(configs, batches)]
+    failures = [(fid, idx, f"{parameter} = {_fmt_value(value)}: {msg}")
+                for (value, _), batch in zip(configs, batches) for fid, idx, msg in batch.failures]
 
     rows: List[SweepRow] = []
     for fid in config.functions:
@@ -659,9 +659,9 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     out_dir = output_dir if output_dir is not None else base.output_dir
     label_dirs = [os.path.join(out_dir, label) for label in labels]
     _make_output_dirs(out_dir, *label_dirs)
-    batches: Dict[str, BatchResult] = {}
+    batches = dict(zip(labels, _run_configs(configs, workers)))
     for label, cfg, label_dir in zip(labels, configs, label_dirs):
-        batches[label] = run_batch(cfg, workers=workers, output_dir=label_dir)
+        write_batch_files(cfg, batches[label], label_dir)
 
     finals = {lab: {fid: [r.best_fitness for r in batches[lab].results[fid] if r is not None]
                     for fid in base.functions} for lab in labels}

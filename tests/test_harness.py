@@ -367,6 +367,24 @@ def test_workers_clamped_to_cores_and_jobs(tmp_path, monkeypatch):
     # cores, the request, (serial: no pool), jobs, (unknown core count: serial)
     assert RecordingPool.created == [4, 3, 6]
 
+    # A sweep and a compare each start one pool and validate each config
+    # once, without run_batch.  With at least as many (config, function)
+    # pairs as workers, each job holds all of a function's runs.
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    jobs, validated = [], []
+    execute_job = harness.execute_job
+    monkeypatch.setattr(harness, "execute_job", lambda job: jobs.append(job) or execute_job(job))
+    monkeypatch.setattr(harness, "validate_config", lambda cfg: validated.append(cfg) or cfg)
+    monkeypatch.setattr(harness, "run_batch", None)
+    sweep(config, "sigma", [0.4, 0.6], workers=2)
+    compare([config, replace(config, algorithm="pso"), replace(config, algorithm="de")],
+            workers=2, output_dir=str(tmp_path / "cmp"))
+    assert RecordingPool.created == [2, 2]
+    assert len(validated) == 2 + 3
+    assert len(jobs) == 2 * 2 + 3 * 2
+    assert all(job.run_indices == (0, 1, 2) for job in jobs)
+
 
 def test_summary_format_nfe_dashes(tmp_path):
     # f2 at this tiny budget never reaches the success threshold.
@@ -549,15 +567,19 @@ def test_trace_budget_below_population_leaves_undrawn_rows_nan(tmp_path):
 
 def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
     # 2-D Rastrigin with default parameters: by generation 80 every superior
-    # solution of this seeded run has collapsed onto the global optimum.
-    # About one such run in five settles at a local minimum instead (the
-    # run of master seed 1 does under stream version 2).
-    config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
-                         max_evals=20 * 85, master_seed=2)
-    _, snapshots, warnings = trace(config, gens=[80])
-    assert not warnings
-    superiors = snapshots[0].superiors
-    assert np.max(np.abs(superiors)) < 1e-2
+    # solution of a seeded run has collapsed onto the global optimum in
+    # about four runs of five (233 of master seeds 0-299 under stream
+    # version 2); the others settle at a local minimum.  So the check is a
+    # rate: at a true rate of 0.777, fewer than 24 of 40 converge with
+    # probability 0.003.
+    converged = 0
+    for seed in range(40):
+        config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
+                             max_evals=20 * 85, master_seed=seed)
+        _, snapshots, warnings = trace(config, gens=[80])
+        assert not warnings
+        converged += bool(np.max(np.abs(snapshots[0].superiors)) < 1e-2)
+    assert converged >= 24
 
 
 def test_trace_requires_ans_and_gens(tmp_path):
@@ -665,11 +687,12 @@ def tree_sha256(root):
     return digest.hexdigest()
 
 
-def test_compare_report_golden_digest(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_report_golden_digest(tmp_path, workers):
     ans = parse_config_text("algorithm = ans\nfunctions = f1,f6,f7,f13\ndimensions = 4\n"
                             "runs = 3\nmax_evals = 300\nmaster_seed = 321\n")
     configs = [ans, replace(ans, algorithm="pso"), replace(ans, algorithm="de")]
-    compare(configs, reference="ans", output_dir=str(tmp_path / "cmp"))
+    compare(configs, reference="ans", workers=workers, output_dir=str(tmp_path / "cmp"))
     assert tree_sha256(tmp_path / "cmp") == GOLDEN_COMPARE_SHA256
 
 
@@ -735,12 +758,14 @@ def test_all18_report_golden_digest(tmp_path):
 GOLDEN_SWEEP_TRACE_SHA256 = "8c172feba49d342b7b21db812b0f4824cec0e50e3dd4e70c0855be846c55c115"
 
 
-def test_sweep_trace_failures_golden_digest(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_trace_failures_golden_digest(tmp_path, monkeypatch, workers):
     root = tmp_path / "tree"
     base = parse_config_text("functions = f1,f5\ndimensions = 4\nruns = 3\nmax_evals = 300\n"
                              "master_seed = 321\n")
-    sweep(replace(base, output_dir=str(root / "sweep_sigma")), "sigma", [0.5, 0.1234567, 2.0])
-    sweep(replace(base, output_dir=str(root / "sweep_m")), "m", [5, 10])
+    sweep(replace(base, output_dir=str(root / "sweep_sigma")), "sigma", [0.5, 0.1234567, 2.0],
+          workers=workers)
+    sweep(replace(base, output_dir=str(root / "sweep_m")), "m", [5, 10], workers=workers)
     trace(replace(base, functions=("f7",), dimensions=2, runs=1, max_evals=120,
                   output_dir=str(root / "trace")), gens=[0, 3, 999])
 
