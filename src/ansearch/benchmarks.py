@@ -11,7 +11,7 @@ faces the identical landscape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -55,17 +55,11 @@ def step(x):
     return np.vecdot(f, f)
 
 
-def noise_quadric(x, rngs: Optional[Sequence[RngStream]] = None):
-    """Weighted quartic sum plus one uniform [0, 1) noise draw per row, from
-    that row's stream in ``rngs``.
-
-    With ``rngs=None`` only the deterministic part is returned.
-    """
+def noise_quadric(x):
+    """The weighted quartic sum of f6, whose problem is ``noisy``: the
+    generation sweep adds one uniform [0, 1) draw per evaluation."""
     x2 = x * x
-    base = np.vecdot(np.arange(1.0, x.shape[-1] + 1), x2 * x2)
-    if rngs is None:
-        return base
-    return base + np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+    return np.vecdot(np.arange(1.0, x.shape[-1] + 1), x2 * x2)
 
 
 def rastrigin(x):
@@ -138,10 +132,10 @@ def penalized_2(x):
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """One benchmark function: the box [lo, hi] of every coordinate, the
-    row-wise ``function`` (f6's also takes the rows' streams, for its
-    noise) and the coordinate ``optimum`` its minimizer repeats in every
-    dimension.  A rotated function evaluates its ``base_id`` row's function
-    at z = M x and keeps that row's box and optimum."""
+    row-wise ``function`` (f6's without noise) and the coordinate ``optimum``
+    its minimizer repeats in every dimension.  A rotated function evaluates
+    its ``base_id`` row's function at z = M x and keeps that row's box and
+    optimum."""
 
     id: str
     name: str
@@ -256,28 +250,16 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
     if function_id == "f8" and f8_narrow_range:
         lo, hi = -5.12, 5.12
     bounds = SearchBounds(lo, hi, dim, boundary)
-    fn = spec.function
-
-    if not spec.is_rotated:
-        if rotation is not None:
-            raise ValueError(f"{function_id} is not rotated; it takes no rotation")
-        if function_id == "f6":
-            evaluator = fn   # draws its noise from the rows' streams
-        else:
-            evaluator = lambda x, rngs, _fn=fn: _fn(x)  # noqa: E731
-        return ObjectiveProblem(function_id=function_id, bounds=bounds, evaluator=evaluator)
-
-    if rotation is None:
-        raise ValueError(f"{function_id} needs a rotation matrix")
-    if rotation.dim != dim:
-        raise ValueError(f"rotation matrix is {rotation.dim}-D, problem is {dim}-D")
-
-    def evaluator(x, rngs, _fn=fn, _m=rotation.matrix):
-        # One matrix-vector product per row: the bits of ``_m @ row``.
-        return _fn((_m @ x[..., None])[..., 0])
-
-    return ObjectiveProblem(function_id=function_id, bounds=bounds, evaluator=evaluator,
-                            rotation=rotation.matrix)
+    if spec.is_rotated:
+        if rotation is None:
+            raise ValueError(f"{function_id} needs a rotation matrix")
+        if rotation.dim != dim:
+            raise ValueError(f"rotation matrix is {rotation.dim}-D, problem is {dim}-D")
+    elif rotation is not None:
+        raise ValueError(f"{function_id} is not rotated; it takes no rotation")
+    return ObjectiveProblem(function_id=function_id, bounds=bounds, function=spec.function,
+                            rotation=None if rotation is None else rotation.matrix,
+                            noisy=function_id == "f6")
 
 
 def optimum_point(function_id: str, dim: int, rotation: Optional[np.ndarray] = None) -> np.ndarray:

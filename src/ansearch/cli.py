@@ -18,8 +18,8 @@ def _print_summaries(algorithm: str, summaries) -> None:
     print(f"algorithm: {algorithm}")
     print(f"{'function':10s} {'mean':>14s} {'std':>14s} {'nfe':>12s} {'sr':>8s}")
     for fid, s in summaries.items():
-        nfe = "---" if s.mean_nfe_to_success is None else f"{s.mean_nfe_to_success:.1f}"
-        print(f"{fid:10s} {s.mean:14.6E} {s.std:14.6E} {nfe:>12s} {s.success_rate * 100:7.6g}%")
+        mean, std, nfe, sr = harness._fmt_summary(s).split(",")
+        print(f"{fid:10s} {mean:>14s} {std:>14s} {nfe:>12s} {sr:>8s}")
 
 
 def _report_failures(algorithm: str, failures) -> bool:
@@ -46,10 +46,10 @@ def cmd_sweep(args) -> int:
     rows, failures = harness.sweep(config, args.param, values, workers=args.workers)
     print(f"{'function':10s} {args.param:>8s} {'mean':>14s} {'sr':>8s}  best")
     for row in rows:
-        s = row.summary
+        mean, _, _, sr = harness._fmt_summary(row.summary).split(",")
         marker = "*" if row.best else ""
-        print(f"{row.function_id:10s} {harness._fmt_value(row.value):>8s} {s.mean:14.6E} "
-              f"{s.success_rate * 100:7.6g}%  {marker}")
+        print(f"{row.function_id:10s} {harness._fmt_value(row.value):>8s} {mean:>14s} "
+              f"{sr:>8s}  {marker}")
     print(f"sweep table written to {config.output_dir}")
     return 1 if _report_failures(config.algorithm, failures) else 0
 
@@ -82,9 +82,9 @@ def cmd_compare(args) -> int:
     for fid in report.function_ids:
         row = "  ".join(f"{symbol_text[report.verdicts[p][fid].symbol]:>8s}" for p in peers)
         print(f"{fid:8s}  {row}")
-    for sym in ("minus", "plus", "approx"):
+    for sym, text in symbol_text.items():
         row = "  ".join(f"{report.tallies[p][sym]:>8d}" for p in peers)
-        print(f"{symbol_text[sym]:8s}  {row}")
+        print(f"{text:8s}  {row}")
     print("signed-rank p / adjusted p:")
     for peer in peers:
         print(f"  {report.reference} vs {peer}: {report.signed_rank_p[peer]:.4E} / "

@@ -62,7 +62,7 @@ class RngStream:
     ``integers([m - 1, m - 2, m - 3], (m, 3))``, each pick shifted past its
     individual and the earlier picks, the crossover uniforms ``uniform(0, 1,
     (m, D))`` and the forced dimensions ``integers(D, m)``.  Then f6 draws
-    one ``uniform(0, 1)`` per evaluation, in sweep order.
+    ``uniform(0, 1, reach)``, the noise of the individuals the budget reaches.
     """
 
     def __init__(self, seed: Union[int, Sequence[int]]):
@@ -83,16 +83,17 @@ class RngStream:
 class ObjectiveProblem:
     """One benchmark instance, shared by the runs advanced together.
 
-    Evaluation is row-wise: ``x`` is (..., D), one point per row, and each
-    row of a noisy function draws its noise from its own stream in
-    ``rngs``.  ``rotation``, when given, is the orthogonal matrix M of a
-    rotated function.
+    Evaluation is a pure, row-wise function: ``x`` is (..., D), one point
+    per row, and a rotated problem evaluates ``function`` at z = M x, M its
+    orthogonal ``rotation``.  The sweep adds a ``noisy`` problem's (f6's)
+    noise, one uniform [0, 1) draw per evaluation (see :class:`RngStream`).
     """
 
     function_id: str
     bounds: SearchBounds
-    evaluator: Callable[[np.ndarray, Optional[Sequence[RngStream]]], np.ndarray]
+    function: Callable[[np.ndarray], np.ndarray]
     rotation: Optional[np.ndarray] = None
+    noisy: bool = False
 
     def __post_init__(self):
         if self.rotation is not None:
@@ -100,8 +101,10 @@ class ObjectiveProblem:
             if err > ORTHOGONALITY_TOL:
                 raise ValueError(f"rotation matrix is not orthogonal (max |M^T M - I| = {err:.3e})")
 
-    def evaluate(self, x: np.ndarray,
-                 rngs: Optional[Sequence[RngStream]] = None) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.bounds.dim:
             raise ValueError(f"point has length {x.shape[-1]}, problem expects {self.bounds.dim}")
-        return self.evaluator(x, rngs)
+        if self.rotation is not None:
+            # One matrix-vector product per row: the bits of ``M @ row``.
+            x = (self.rotation @ x[..., None])[..., 0]
+        return self.function(x)

@@ -109,11 +109,13 @@ class PopulationState:
             self.evals_to_success = np.zeros(len(self.best_fitness), dtype=np.int64)
 
     def evaluate(self, problem: ObjectiveProblem, x: np.ndarray,
-                 rngs: Sequence[RngStream]) -> np.ndarray:
-        """Evaluate row r of ``x`` for run r, count one evaluation, note each
-        run's first fitness below SUCCESS_THRESHOLD and adopt a row as its
-        run's best on strict improvement."""
-        fit = problem.evaluate(x, rngs)
+                 noise: Optional[np.ndarray] = None) -> np.ndarray:
+        """Evaluate row r of ``x`` for run r, plus ``noise[r]`` if given, count
+        one evaluation, note each run's first fitness below SUCCESS_THRESHOLD
+        and adopt a row as its run's best on strict improvement."""
+        fit = problem.evaluate(x)
+        if noise is not None:
+            fit = fit + noise
         self.evals_used += 1
         np.copyto(self.evals_to_success, self.evals_used,
                   where=(fit < SUCCESS_THRESHOLD) & (self.evals_to_success == 0))
@@ -236,14 +238,17 @@ def sweep(state: PopulationState, problem: ObjectiveProblem, max_evals: int,
     (R, D) point ``propose(i)``, which becomes their position and, on strict
     improvement (:func:`_adopt`), their superior.  Ties keep the incumbent
     superior, so plateaus cause no memory churn.  Stops cleanly mid-sweep
-    when ``max_evals`` is used.
+    when ``max_evals`` is used.  For a noisy problem each run first draws the
+    noise of the individuals the budget reaches, as one block.
     """
     positions, superiors, sup_fitness = state.positions, state.superiors, state.superior_fitness
-    for i in range(positions.shape[1]):
-        if state.evals_used >= max_evals:
-            break
+    reach = max(0, min(positions.shape[1], max_evals - state.evals_used))
+    noise = [None] * reach
+    if problem.noisy:
+        noise, = draw_blocks(rngs, lambda rng: (rng.uniform(0.0, 1.0, reach),))
+    for i in range(reach):
         x = propose(i)
-        fit = state.evaluate(problem, x, rngs)
+        fit = state.evaluate(problem, x, noise[i])
         positions[:, i] = x
         _adopt(superiors[:, i], sup_fitness[:, i], x, fit)
     return state

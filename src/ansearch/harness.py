@@ -393,7 +393,7 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 def _fmt_summary(s: stats.FunctionSummary) -> str:
-    """The ``mean,std,nfe,sr`` columns every summary table shares."""
+    """The ``mean,std,nfe,sr`` columns every summary table and printout shares."""
     nfe = "---" if s.mean_nfe_to_success is None else f"{s.mean_nfe_to_success:.1f}"
     return f"{s.mean:.6E},{s.std:.6E},{nfe},{s.success_rate * 100:g}%"
 
@@ -687,7 +687,7 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     signed_p: Dict[str, float] = {}
     for peer in peers:
         verdicts[peer] = {}
-        tally = {stats.SYMBOL_MINUS: 0, stats.SYMBOL_PLUS: 0, stats.SYMBOL_APPROX: 0}
+        tally = dict.fromkeys(_SYMBOL_TEXT, 0)
         for fid in function_ids:
             verdict = stats.wilcoxon_rank_sum(finals[reference][fid], finals[peer][fid])
             verdicts[peer][fid] = verdict
@@ -714,6 +714,7 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     return report
 
 
+# Each verdict symbol's report text, in the order every tally lists them.
 _SYMBOL_TEXT = {stats.SYMBOL_MINUS: "-", stats.SYMBOL_PLUS: "+", stats.SYMBOL_APPROX: "~"}
 
 
@@ -735,9 +736,9 @@ def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
         for peer in peers:
             v = report.verdicts[peer][fid]
             lines.append(f"{fid},{peer},{_SYMBOL_TEXT[v.symbol]},{v.p_value:.6E}")
-    for symbol in (stats.SYMBOL_MINUS, stats.SYMBOL_PLUS, stats.SYMBOL_APPROX):
+    for symbol, text in _SYMBOL_TEXT.items():
         for peer in peers:
-            lines.append(f"tally_{_SYMBOL_TEXT[symbol]},{peer},{report.tallies[peer][symbol]},")
+            lines.append(f"tally_{text},{peer},{report.tallies[peer][symbol]},")
     _write_table(os.path.join(out_dir, "verdicts.csv"), "function,peer,symbol,p_value", lines)
     lines = []
     for peer in sorted(peers, key=lambda p: report.signed_rank_p[p]):
@@ -752,7 +753,8 @@ def write_comparison_files(report: ComparisonReport, out_dir: str) -> None:
 
 def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], int]]:
     """The rows of a raw results file; a malformed file is a ``syntax``
-    :class:`ConfigError` naming the line, and so is a repeated run index."""
+    :class:`ConfigError` naming the line, and so is a repeated run index or
+    a row no run writes."""
     rows = {}   # run index -> row
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != _RESULTS_HEADER:
@@ -769,10 +771,15 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
             row = (int(idx), int(seed), float(fit), int(nfe) if nfe else None, int(used))
         except ValueError as exc:
             raise ConfigError("syntax", f"{path} line {lineno}: {exc}") from None
-        if row[0] in rows:   # the run would count twice in its summary
-            raise ConfigError("syntax", f"{path} line {lineno}: run_index {row[0]} "
-                                        f"is repeated")
-        rows[row[0]] = row
+        run, _, fit, nfe, used = row
+        error = (f"run_index {run} is repeated" if run in rows   # it would count twice
+                 else "final_fitness is NaN" if fit != fit       # no best adopts a NaN
+                 else f"evals_used {used} is negative" if used < 0
+                 else f"evals_to_success {nfe} is outside 1..{used}"
+                 if nfe is not None and not 1 <= nfe <= used else None)
+        if error:
+            raise ConfigError("syntax", f"{path} line {lineno}: {error}")
+        rows[run] = row
     return list(rows.values())
 
 

@@ -59,6 +59,8 @@ def summarize(final_fitnesses: Sequence[float],
     if len(final_fitnesses) != len(nfe_successes):
         raise ValueError("fitness and NFE lists must align run-for-run")
     values = np.asarray(final_fitnesses, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("final fitnesses must not be NaN")
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     hits = [int(v) for v in nfe_successes if v is not None]

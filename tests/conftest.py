@@ -8,22 +8,22 @@ settings.load_profile("suite")
 
 
 class EvaluationCounter:
-    """Stands in for a problem's evaluator and counts the points (rows) it
+    """Stands in for a problem's function and counts the points (rows) it
     evaluates, independently of the optimizer's own count."""
 
-    def __init__(self, evaluator):
-        self.evaluator = evaluator
+    def __init__(self, function):
+        self.function = function
         self.rows = 0
 
-    def __call__(self, x, rngs):
+    def __call__(self, x):
         self.rows += math.prod(x.shape[:-1])
-        return self.evaluator(x, rngs)
+        return self.function(x)
 
 
 def count_evaluations(problem):
     """Route ``problem``'s evaluations through a new counter and return it."""
-    problem.evaluator = EvaluationCounter(problem.evaluator)
-    return problem.evaluator
+    problem.function = EvaluationCounter(problem.function)
+    return problem.function
 
 
 def predrawn(monkeypatch, module, *blocks):

@@ -103,7 +103,7 @@ def test_pso_recovers_from_a_non_finite_initial_swarm():
     # the run ended at best_fitness inf with a NaN best_position.
     calls = []
 
-    def evaluator(x, rngs):
+    def evaluator(x):
         calls.append(x)
         fit = np.sum(x * x, axis=-1)
         return np.full_like(fit, np.nan) if len(calls) <= 30 else fit

@@ -6,7 +6,7 @@ from ansearch.benchmarks import (FUNCTION_IDS, SPECS, _penalty_sum, ackley,
                                  make_rotation_matrix, noise_quadric, optimum_point,
                                  rastrigin, rosenbrock, save_rotation_matrix,
                                  schwefel_2_21, schwefel_2_22, step)
-from ansearch.core import RngStream
+from ansearch.engine import AnsParams, PopulationState, run
 
 # Search ranges as published, one entry per function.
 EXPECTED_RANGES = {
@@ -39,22 +39,16 @@ def test_suite_covers_all_18_functions_with_published_ranges():
         assert (s.lo, s.hi) == EXPECTED_RANGES[s.id]
         assert s.is_rotated == (s.id in ROTATION_BASE)
         assert s.base_id == ROTATION_BASE.get(s.id)
-    # Only f6 is noisy: only its value depends on the rows' streams.
-    x = np.full((1, 4), 0.3)
+    # Only f6 is noisy: only its sweeps draw noise (test_engine).
     for fid in FUNCTION_IDS:
-        problem = build(fid, 4)
-        values = {float(problem.evaluate(x, [RngStream(seed)])[0]) for seed in (1, 2)}
-        assert (len(values) == 2) == (fid == "f6"), fid
+        assert build(fid, 4).noisy == (fid == "f6"), fid
 
 
 def test_optimum_certificates_all_functions():
     for fid in FUNCTION_IDS:
         problem = build(fid, 10)
         x = optimum_point(fid, 10, problem.rotation)
-        if fid == "f6":
-            value = noise_quadric(x)  # deterministic part; the noise is additive
-        else:
-            value = problem.evaluate(x, RngStream(0))
+        value = problem.evaluate(x)   # f6: the deterministic part; the noise is additive
         assert abs(value) <= 1e-12, f"{fid} at its optimum gives {value}"
 
 
@@ -119,19 +113,36 @@ def test_penalized_certificates():
     assert make_problem("f11", 4).evaluate(np.full(4, 12.0)) > 100.0
 
 
-def test_noise_quadric_bounds_and_determinism():
-    x = np.array([0.5, -0.5, 1.0])
-    base = noise_quadric(x)
-    rng = RngStream(11)
-    for _ in range(200):
-        noisy = noise_quadric(x[None], [rng])[0]
-        assert 0.0 <= noisy - base < 1.0
-    a = noise_quadric(x[None], [RngStream(4)])
-    b = noise_quadric(x[None], [RngStream(4)])
-    assert a == b
-    # Each row draws its noise from its own stream.
-    rows = noise_quadric(np.stack([x, x]), [RngStream(4), RngStream(5)])
-    assert rows[0] == a[0] and rows[1] == noise_quadric(x[None], [RngStream(5)])[0]
+def test_noise_quadric_bounds_and_determinism(monkeypatch):
+    # f6's noise is added by the sweep: every evaluated fitness lies within
+    # [0, 1) above its deterministic part, and each run's noise comes from
+    # its own stream, the same whichever runs share its call.
+    problem = make_problem("f6", 3)
+    params = AnsParams(population_size=10, max_evals=205)
+    evaluate = PopulationState.evaluate
+
+    def evaluated(seeds):
+        seen = []
+
+        def record(state, problem, x, noise=None):
+            fit = evaluate(state, problem, x, noise)
+            seen.append((x.copy(), fit))
+            return fit
+
+        monkeypatch.setattr(PopulationState, "evaluate", record)
+        run(problem, params, seeds)
+        monkeypatch.undo()
+        return seen
+
+    together = evaluated([4, 5])
+    assert len(together) == 205
+    for x, fit in together:
+        noise = fit - noise_quadric(x)
+        assert np.all((0.0 <= noise) & (noise < 1.0))
+    for r, seed in enumerate([4, 5]):
+        alone = evaluated([seed])
+        np.testing.assert_array_equal([fit[r] for _, fit in together],
+                                      [fit[0] for _, fit in alone])
 
 
 def test_non_negative_functions_on_random_points():
@@ -141,7 +152,7 @@ def test_non_negative_functions_on_random_points():
         lo, hi = problem.bounds.lo, problem.bounds.hi
         for _ in range(200):
             x = rng.uniform(lo, hi, 8)
-            assert problem.evaluate(x, RngStream(0)) >= 0.0, fid
+            assert problem.evaluate(x) >= 0.0, fid
 
 
 def test_rotation_matrix_orthogonality_and_determinism():
@@ -211,9 +222,9 @@ def test_f8_range_default_and_override():
 
 def test_row_wise_evaluation_matches_single_rows():
     # A batch of rows gives, row by row, the bits of evaluating each row
-    # alone (f6: each row's noise from its own stream), also for the strided
-    # rows a population slice is; D = 30 puts the sums, and the f11/f12
-    # penalty, past the 8-term unrolled block of numpy's pairwise summation.
+    # alone, also for the strided rows a population slice is; D = 30 puts
+    # the sums, and the f11/f12 penalty, past the 8-term unrolled block of
+    # numpy's pairwise summation.
     rng = np.random.default_rng(23)
     for fid in FUNCTION_IDS:
         for dim in (10, 30):
@@ -221,9 +232,8 @@ def test_row_wise_evaluation_matches_single_rows():
             lo, hi = problem.bounds.lo, problem.bounds.hi
             rows = rng.uniform(lo, hi, (4, 3, dim))[:, 1]
             rows[1] *= 0.1   # f11/f12: a row with fewer coordinates outside the dead zone
-            together = problem.evaluate(rows, [RngStream(s) for s in range(4)])
-            alone = [problem.evaluate(rows[r].copy()[None], [RngStream(r)])[0] for r in range(4)]
+            together = problem.evaluate(rows)
+            alone = [problem.evaluate(rows[r].copy()[None])[0] for r in range(4)]
             assert together.shape == (4,)
             np.testing.assert_array_equal(together, alone, err_msg=f"{fid} D={dim}")
-            if fid != "f6":
-                np.testing.assert_array_equal(together, [problem.evaluate(row) for row in rows])
+            np.testing.assert_array_equal(together, [problem.evaluate(row) for row in rows])

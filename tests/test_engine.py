@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -376,7 +378,7 @@ def test_run_budget_of_initial_population_only():
     result = run_one(problem, params, seed=91)
     # Replay the initialization block: the result is the best initial sample.
     points = RngStream(91).uniform(problem.bounds.lo, problem.bounds.hi, (20, 4))
-    assert result.best_fitness == problem.evaluator(points, None).min()
+    assert result.best_fitness == problem.evaluate(points).min()
     assert result.evals_used == 20
     assert result.generations == 0
 
@@ -462,7 +464,7 @@ def sphere_with_nans(nan_calls, dim=3):
     return NaN for every row; ``None`` makes every call NaN."""
     calls = []
 
-    def evaluator(x, rngs):
+    def evaluator(x):
         calls.append(x)
         fit = np.sum(x * x, axis=-1)
         return np.full_like(fit, np.nan) if nan_calls is None or len(calls) in nan_calls else fit
@@ -537,7 +539,9 @@ def loop_initializer(problem, size, max_evals, rngs):
     for i in range(size):
         if evals_used < max_evals:
             x = positions[:, i]
-            fit = problem.evaluate(x, rngs)
+            fit = problem.evaluate(x)
+            if problem.noisy:   # f6: one scalar draw per run per evaluation
+                fit = fit + np.array([rng.uniform(0.0, 1.0) for rng in rngs])
             evals_used += 1
             np.copyto(evals_to_success, evals_used,
                       where=(fit < SUCCESS_THRESHOLD) & (evals_to_success == 0))
@@ -584,3 +588,40 @@ def test_init_population_matches_loop_oracle(fid, runs, size, dim, budget, seed)
         assert np.all(np.isnan(state.superiors[:, done:]))
         assert np.all(state.superior_fitness[:, done:] == np.inf)
     assert state.superiors is not state.positions
+
+
+def per_evaluation_noise(problem, rngs):
+    """Oracle: f6 with its noise drawn inside the evaluation, one scalar per
+    run per evaluation from ``rngs``, after the generation's blocks."""
+    def function(x):
+        return problem.evaluate(x) + np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+    return replace(problem, function=function, noisy=False)
+
+
+@pytest.mark.parametrize("alg", ["ans", "pso", "de"])
+def test_f6_step_noise_matches_per_evaluation_draws(alg):
+    # Initialization, one full step and the first 3 individuals of the next:
+    # the budget ends mid-sweep, so a sweep that drew noise for all m
+    # individuals would leave its streams past the oracle's.
+    size = 6
+    state_cls, step_fn, params = {
+        "ans": (PopulationState, step, make_params(population_size=size, max_evals=2 * size + 3)),
+        "pso": (SwarmState, pso_step, PsoParams(swarm_size=size, max_evals=2 * size + 3)),
+        "de": (PopulationState, de_step, DeParams(pop_size=size, max_evals=2 * size + 3)),
+    }[alg]
+    problem = make_problem("f6", 4)
+    rngs = [RngStream((61, r)) for r in range(3)]
+    oracle_rngs = [RngStream((61, r)) for r in range(3)]
+    oracle = per_evaluation_noise(problem, oracle_rngs)
+    state = init_population(problem, state_cls, size, params.max_evals, rngs)
+    want = init_population(oracle, state_cls, size, params.max_evals, oracle_rngs)
+    for _ in range(2):
+        step_fn(state, problem, params, rngs)
+        step_fn(want, oracle, params, oracle_rngs)
+
+    assert state.evals_used == want.evals_used == params.max_evals
+    for name in ("positions", "superiors", "superior_fitness", "best", "best_fitness",
+                 "evals_to_success") + (("velocities",) if alg == "pso" else ()):
+        assert bits(getattr(state, name)) == bits(getattr(want, name)), name
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.generator.bit_generator.state == oracle_rng.generator.bit_generator.state

@@ -425,6 +425,11 @@ MALFORMED_RESULTS = {
     "repeated_run_index": (RESULTS_HEADER + "0,11,1.0,,400\n0,11,1.0,,400\n1,12,3.0,,400\n", 3),
     # The byte 0xff, which is not UTF-8, raised UnicodeDecodeError.
     "not_utf8": (RESULTS_HEADER + "0,11,1.0,,400\n1,12,3.0\udcff,,400\n", 3),
+    # No run writes the rows below; stats summarized each and exited 0.
+    "nan_final_fitness": (RESULTS_HEADER + "0,11,1.0,,400\n1,12,nan,,400\n", 3),
+    "negative_evals_used": (RESULTS_HEADER + "0,11,1.0,,-3\n", 2),
+    "success_after_budget": (RESULTS_HEADER + "0,11,1.0,500,100\n", 2),
+    "success_at_zero": (RESULTS_HEADER + "0,11,1.0,0,100\n", 2),
 }
 
 
@@ -439,6 +444,14 @@ def test_stats_rejects_malformed_results_file(tmp_path, capsys, case):
     assert cli.main(["stats", str(tmp_path)]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["results_ans_f1.csv"]
+
+
+def test_stats_accepts_an_infinite_final_fitness(tmp_path):
+    # A run whose every evaluation was NaN ends at +inf, and writes it.
+    path = tmp_path / "results_ans_f1.csv"
+    path.write_text(RESULTS_HEADER + "0,11,inf,,400\n")
+    assert read_results_csv(str(path)) == [(0, 11, np.inf, None, 400)]
+    assert cli.main(["stats", str(tmp_path)]) == 0
 
 
 def test_recompute_summaries_skips_functions_whose_runs_all_failed(tmp_path, monkeypatch):

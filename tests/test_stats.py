@@ -299,6 +299,8 @@ def test_nan_is_rejected_wherever_values_are_ranked():
                  lambda: rank_algorithms([nan, 1.0, 0.5]),
                  lambda: rank_algorithms([1.0, nan, 0.5]),
                  lambda: rank_sum_p_value([1.0, nan], [2.0, 3.0]),
-                 lambda: rank_sum_p_value([1.0] * 15, [2.0] * 14 + [nan])):
+                 lambda: rank_sum_p_value([1.0] * 15, [2.0] * 14 + [nan]),
+                 # summarize gave mean NaN.
+                 lambda: summarize([nan, 1.0], [None, None])):
         with pytest.raises(ValueError, match="NaN"):
             call()
