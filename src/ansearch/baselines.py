@@ -29,7 +29,6 @@ class PsoParams:
     c2: float = 1.49445
     v_max: Optional[float] = None   # None -> half the search range width
     max_evals: int = 300_000
-    max_generations: Optional[int] = None
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -48,7 +47,6 @@ class DeParams:
     weight: float = 0.5      # difference scale factor
     crossover: float = 0.9   # binomial crossover rate
     max_evals: int = 300_000
-    max_generations: Optional[int] = None
 
     def __post_init__(self):
         if self.pop_size < 4:

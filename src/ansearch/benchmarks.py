@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import ORTHOGONALITY_TOL, ObjectiveProblem, RngStream, SearchBounds
+from .core import ObjectiveProblem, RngStream, SearchBounds
 
 TWO_PI = 2.0 * np.pi
 
@@ -180,7 +180,6 @@ FUNCTION_IDS = tuple(SPECS)
 # ---------------------------------------------------------------------------
 
 _ROTATION_TAG = 0x526F74  # fixed entropy word separating rotation streams
-_ROTATION_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -194,21 +193,16 @@ def make_rotation_matrix(dim: int, seed: int) -> RotationMatrix:
     """Random orthogonal matrix: QR of a square standard-Gaussian draw.
 
     The signs of R's diagonal are folded into Q so the factorization is
-    unique.  A numerically degenerate draw is retried on a fresh substream,
-    up to ``_ROTATION_ATTEMPTS`` draws in all.
+    unique.  The draw comes from substream ``(_ROTATION_TAG, seed, 0)``;
+    :class:`ObjectiveProblem` checks the result is orthogonal.
     """
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
-    for attempt in range(_ROTATION_ATTEMPTS):
-        rng = RngStream((_ROTATION_TAG, seed, attempt))
-        a = rng.standard_gaussian((dim, dim))
-        q, r = np.linalg.qr(a)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs
-        if np.max(np.abs(q.T @ q - np.eye(dim))) < ORTHOGONALITY_TOL:
-            return RotationMatrix(matrix=q, seed=seed, dim=dim)
-    raise RuntimeError(f"could not build an orthogonal matrix after {_ROTATION_ATTEMPTS} attempts")
+    a = RngStream((_ROTATION_TAG, seed, 0)).standard_gaussian((dim, dim))
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return RotationMatrix(matrix=q * signs, seed=seed, dim=dim)
 
 
 def save_rotation_matrix(path, rm: RotationMatrix) -> None:

@@ -36,7 +36,7 @@ SUCCESS_THRESHOLD = 1e-5
 
 @dataclass(frozen=True)
 class AnsParams:
-    """Tunable parameters plus budget controls.
+    """Tunable parameters plus the evaluation budget.
 
     Each individual contributes exactly one superior solution to the shared
     pool, so the pool size is ``population_size``.  ``across_degree`` of 0
@@ -49,7 +49,6 @@ class AnsParams:
     across_degree: int = 1
     sigma: float = 0.5
     max_evals: int = 300_000
-    max_generations: Optional[int] = None
     frozen_superiors: bool = False
 
     def __post_init__(self):
@@ -65,11 +64,9 @@ class AnsParams:
 
 
 def _check_budget(params) -> None:
-    """The budget fields the ANS, PSO and DE params share."""
+    """The budget field the ANS, PSO and DE params share."""
     if params.max_evals < 1:
         raise ValueError("max_evals must be >= 1")
-    if params.max_generations is not None and params.max_generations < 1:
-        raise ValueError("max_generations must be >= 1 when given")
 
 
 def _adopt(points: np.ndarray, fitness: np.ndarray, x: np.ndarray, fit: np.ndarray) -> None:
@@ -91,8 +88,8 @@ class PopulationState:
     fitness until a run adopts a point.  :meth:`evaluate` is the one place
     an optimizer evaluates points, so evaluation counting, the first-success
     record and the best-so-far follow one rule for all three algorithms.
-    The runs share population size, budget and generation cap, so
-    ``generation`` and ``evals_used`` are common to all of them.
+    The runs share population size and budget, so ``generation`` and
+    ``evals_used`` are common to all of them.
     """
 
     positions: np.ndarray                           # (R, m, D)
@@ -258,9 +255,8 @@ def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Seque
              size: int, state_cls: Type[PopulationState], step_fn: Callable,
              on_generation: Optional[Callable] = None) -> RunBatch:
     """One run per seed, advanced together: initialize, then step until
-    whichever budget hits first (``params.max_evals`` is always enforced;
-    ``params.max_generations`` counts update sweeps after initialization
-    when given).  The runs share both budgets, so they stop together.
+    ``params.max_evals`` evaluations are used, the one budget.  Every run
+    uses exactly that many, so the runs stop together.
 
     ``step_fn(state, problem, params, rngs)`` sweeps one generation, which
     the loop counts.  ``on_generation(state)``, when given, sees the state
@@ -273,8 +269,7 @@ def run_loop(problem: ObjectiveProblem, params, seeds: Sequence[Union[int, Seque
     history = [(state.evals_used, state.best_fitness.tolist())]
     if on_generation is not None:
         on_generation(state)
-    while state.evals_used < params.max_evals and (
-            params.max_generations is None or state.generation < params.max_generations):
+    while state.evals_used < params.max_evals:
         step_fn(state, problem, params, rngs)
         state.generation += 1
         history.append((state.evals_used, state.best_fitness.tolist()))

@@ -23,7 +23,7 @@ from . import benchmarks, stats
 from .baselines import DeParams, PsoParams, de_run, pso_run
 from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation_matrix
 from .core import BOUNDARY_POLICIES, ObjectiveProblem
-from .engine import AnsParams, RunBatch, RunResult, run as ans_run
+from .engine import SUCCESS_THRESHOLD, AnsParams, RunBatch, RunResult, run as ans_run
 
 ALGORITHMS = ("ans", "pso", "de")
 _ALG_CODES = {"ans": 1, "pso": 2, "de": 3}
@@ -52,7 +52,6 @@ class ExperimentConfig:
     algorithm: str = "ans"
     runs: int = DEFAULT_RUNS
     max_evals: Optional[int] = None          # None -> dimension-based default
-    max_generations: Optional[int] = None
     master_seed: int = DEFAULT_MASTER_SEED
     output_dir: str = "results"
     boundary_policy: str = "clamp"
@@ -83,18 +82,17 @@ class ExperimentConfig:
 
     def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
         """The algorithm's params for one function of this experiment."""
-        budget = dict(max_evals=self.budget(), max_generations=self.max_generations)
         if self.algorithm == "ans":
             return AnsParams(population_size=self.population_size,
                              across_degree=self.n_per_function.get(function_id,
                                                                    self.across_degree),
                              sigma=self.sigma, frozen_superiors=self.frozen_superiors,
-                             **budget)
+                             max_evals=self.budget())
         if self.algorithm == "pso":
-            return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia,
-                             c1=self.c1, c2=self.c2, v_max=self.v_max, **budget)
+            return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia, c1=self.c1,
+                             c2=self.c2, v_max=self.v_max, max_evals=self.budget())
         return DeParams(pop_size=self.de_pop_size, weight=self.de_weight,
-                        crossover=self.de_crossover, **budget)
+                        crossover=self.de_crossover, max_evals=self.budget())
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +774,11 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
                  else "final_fitness is NaN" if fit != fit       # no best adopts a NaN
                  else f"evals_used {used} is negative" if used < 0
                  else f"evals_to_success {nfe} is outside 1..{used}"
-                 if nfe is not None and not 1 <= nfe <= used else None)
+                 if nfe is not None and not 1 <= nfe <= used
+                 # a run's best never rises after the evaluation that succeeded
+                 else f"final_fitness {fit!r} is not below {SUCCESS_THRESHOLD:g} but "
+                      f"evals_to_success is {nfe}"
+                 if nfe is not None and fit >= SUCCESS_THRESHOLD else None)
         if error:
             raise ConfigError("syntax", f"{path} line {lineno}: {error}")
         rows[run] = row

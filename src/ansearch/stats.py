@@ -52,7 +52,8 @@ def summarize(final_fitnesses: Sequence[float],
 
     ``nfe_successes[i]`` is run i's evaluations-to-success, or None for a
     failed run; the NFE average covers successful runs only.  Std uses the
-    sample divisor (n-1); a single run reports std 0.
+    sample divisor (n-1); it is 0 when every value is equal (a single run
+    included) and otherwise +inf when any value is infinite.
     """
     if len(final_fitnesses) == 0:
         raise ValueError("summarize needs at least one run")
@@ -62,7 +63,8 @@ def summarize(final_fitnesses: Sequence[float],
     if np.isnan(values).any():
         raise ValueError("final fitnesses must not be NaN")
     mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    std = (0.0 if (values == values[0]).all() else np.inf if np.isinf(values).any()
+           else float(np.std(values, ddof=1)))
     hits = [int(v) for v in nfe_successes if v is not None]
     sr = len(hits) / len(values)
     nfe = float(np.mean(hits)) if hits else None

@@ -29,10 +29,9 @@ def check(number, ok, detail):
     assert ok, line
 
 
-def ans_runs(function_id, dim, degree, runs, max_evals, population=20, sigma=0.5,
-             max_generations=None):
+def ans_runs(function_id, dim, degree, runs, max_evals, population=20, sigma=0.5):
     params = AnsParams(population_size=population, across_degree=degree, sigma=sigma,
-                       max_evals=max_evals, max_generations=max_generations)
+                       max_evals=max_evals)
     rotation = (benchmarks.make_rotation_matrix(dim, derive_rotation_seed(MASTER, function_id))
                 if benchmarks.SPECS[function_id].is_rotated else None)
     problem = benchmarks.make_problem(function_id, dim, rotation=rotation)
@@ -42,8 +41,7 @@ def ans_runs(function_id, dim, degree, runs, max_evals, population=20, sigma=0.5
 
 def test_criterion_01_rastrigin_2d_convergence():
     start = time.perf_counter()
-    results = ans_runs("f7", 2, degree=1, runs=10, max_evals=20 * 201,
-                       max_generations=200)
+    results = ans_runs("f7", 2, degree=1, runs=10, max_evals=20 * 201)
     gens = []
     for res in results:
         hit = next((g for g, (_, fit) in enumerate(res.history) if fit < 1e-5), None)

@@ -29,11 +29,6 @@ def test_param_validation():
         DeParams(crossover=1.5)
     with pytest.raises(ValueError):
         DeParams(weight=float("nan"))
-    # A cap of 0 would stop every run after initialization.
-    with pytest.raises(ValueError):
-        PsoParams(max_generations=0)
-    with pytest.raises(ValueError):
-        DeParams(max_generations=0)
 
 
 def swarm(positions, velocities, pbest, pbest_fit, gbest, gbest_fit):

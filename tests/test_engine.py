@@ -408,14 +408,14 @@ def test_run_history_monotone_and_budget_honest():
 
 
 def test_run_max_generations_termination():
-    params = make_params(max_evals=10_000, max_generations=7)
+    params = make_params(max_evals=20 * 8)
     result = run_one(make_problem("f1", 3), params, seed=1)
     assert result.generations == 7
     assert result.evals_used == 20 * 8  # init + 7 sweeps
 
 
 def test_run_snapshots_captured_at_requested_generations():
-    params = make_params(max_evals=20 * 11, max_generations=10)
+    params = make_params(max_evals=20 * 11)
     wanted = {0, 3, 10, 99}
     snapshots = []
 

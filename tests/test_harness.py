@@ -127,14 +127,15 @@ def test_config_error_codes(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_text("functions = f1\ndimensions = 5\nsuperior_count = 20\n")
     assert err.value.code == "unknown_key"
-    # Values the params used to accept: a generation cap of 0 stopped pso and
-    # de runs after initialization, a negative v_max pinned every velocity
+    # max_evals is the one budget; a generation cap is the budget m * (G + 1).
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("functions = f1\ndimensions = 5\nmax_generations = 10\n")
+    assert err.value.code == "unknown_key"
+    # Values the params used to accept: a negative v_max pinned every velocity
     # to -v_max, a NaN weight gave NaN trials, an infinite sigma gave
     # inf * 0 = NaN positions, and a repeated n_per_function id kept only
     # its last entry.  A negative master seed failed every run.
-    for extra in ("algorithm = pso\nmax_generations = 0\n",
-                  "algorithm = de\nmax_generations = 0\n",
-                  "algorithm = pso\nv_max = -1\n",
+    for extra in ("algorithm = pso\nv_max = -1\n",
                   "algorithm = de\nde_weight = nan\n",
                   "sigma = inf\n",
                   "n_per_function = f1:1,f1:2\n",
@@ -242,11 +243,11 @@ def test_run_batch_deterministic_across_workers_and_invocations(tmp_path):
 # depend on which runs share its call, nor on how runs are split over workers.
 LOCKSTEP_CASES = [
     ("ans", dict(frozen_superiors=True, boundary_policy="none", max_evals=107)),
-    ("ans", dict(max_generations=120, max_evals=5000, n_per_function={"f13": 3})),
+    ("ans", dict(max_evals=20 * 121, n_per_function={"f13": 3})),
     ("pso", dict(boundary_policy="none", max_evals=107)),
-    ("pso", dict(max_generations=300, max_evals=5000, swarm_size=12)),
+    ("pso", dict(max_evals=12 * 301, swarm_size=12)),
     ("de", dict(boundary_policy="none", de_pop_size=12, max_evals=107)),
-    ("de", dict(max_generations=350, max_evals=5000, de_pop_size=12)),
+    ("de", dict(max_evals=12 * 351, de_pop_size=12)),
 ]
 
 
@@ -269,8 +270,8 @@ def test_lockstep_batch_matches_one_run_batches(alg, overrides):
             assert result.evals_to_success == alone.evals_to_success
             assert result.history == alone.history
             successes += result.evals_to_success is not None
-    if overrides.get("max_generations"):
-        assert successes  # the first-success record is exercised too
+    if overrides["max_evals"] > 107:
+        assert successes  # the long runs exercise the first-success record too
 
 
 @pytest.mark.parametrize("alg", ["pso", "de"])
@@ -430,6 +431,8 @@ MALFORMED_RESULTS = {
     "negative_evals_used": (RESULTS_HEADER + "0,11,1.0,,-3\n", 2),
     "success_after_budget": (RESULTS_HEADER + "0,11,1.0,500,100\n", 2),
     "success_at_zero": (RESULTS_HEADER + "0,11,1.0,0,100\n", 2),
+    # A run's best never rises after the evaluation that succeeded.
+    "success_above_threshold": (RESULTS_HEADER + "0,11,5.0,40,400\n", 2),
 }
 
 
@@ -449,9 +452,10 @@ def test_stats_rejects_malformed_results_file(tmp_path, capsys, case):
 def test_stats_accepts_an_infinite_final_fitness(tmp_path):
     # A run whose every evaluation was NaN ends at +inf, and writes it.
     path = tmp_path / "results_ans_f1.csv"
-    path.write_text(RESULTS_HEADER + "0,11,inf,,400\n")
-    assert read_results_csv(str(path)) == [(0, 11, np.inf, None, 400)]
+    path.write_text(RESULTS_HEADER + "0,11,inf,,400\n1,12,1.0,,400\n")
+    assert read_results_csv(str(path)) == [(0, 11, np.inf, None, 400), (1, 12, 1.0, None, 400)]
     assert cli.main(["stats", str(tmp_path)]) == 0
+    assert (tmp_path / "summary_ans.csv").read_text().splitlines()[1].startswith("f1,INF,INF,")
 
 
 def test_recompute_summaries_skips_functions_whose_runs_all_failed(tmp_path, monkeypatch):
@@ -539,7 +543,7 @@ def test_sweep_population_size(tmp_path):
 
 def test_trace_files_and_warnings(tmp_path):
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2,
-                         max_evals=20 * 6, max_generations=5, runs=1)
+                         max_evals=20 * 6, runs=1)
     result, snapshots, warnings = trace(config, gens=[0, 3, 9])
     out = config.output_dir
     assert sorted(os.listdir(out)) == ["trace_gen0.csv", "trace_gen3.csv"]
@@ -642,14 +646,21 @@ def test_compare_direction_against_weak_baseline(tmp_path):
 
 def test_compare_mean_rank_consistency(tmp_path):
     ans_config = tiny_config(tmp_path, functions=("f1", "f5"), max_evals=600, runs=3)
-    pso_config = replace(ans_config, algorithm="pso", swarm_size=10)
-    report = compare([ans_config, pso_config], reference="ans",
-                     output_dir=str(tmp_path / "cmp2"))
-    for label in report.labels:
-        ranks = [report.summaries[label][fid].rank for fid in report.function_ids]
-        assert report.mean_rank[label] == np.mean(ranks)
-    ordered = sorted(report.labels, key=lambda l: report.mean_rank[l])
-    assert report.overall_rank[ordered[0]] == 1
+    # One budget at population sizes 20 (ans), 30 (pso) and 100 (de).
+    equal = replace(ans_config, max_evals=250)
+    for name, configs in (
+            ("cmp2", [ans_config, replace(ans_config, algorithm="pso", swarm_size=10)]),
+            ("cmp3", [equal, replace(equal, algorithm="pso"), replace(equal, algorithm="de")])):
+        report = compare(configs, reference="ans", output_dir=str(tmp_path / name))
+        for label in report.labels:
+            ranks = [report.summaries[label][fid].rank for fid in report.function_ids]
+            assert report.mean_rank[label] == np.mean(ranks)
+        ordered = sorted(report.labels, key=lambda l: report.mean_rank[l])
+        assert report.overall_rank[ordered[0]] == 1
+    # Every run of every algorithm uses exactly its budget.
+    paths = sorted((tmp_path / "cmp3").glob("*/results_*.csv"))
+    assert len(paths) == 6
+    assert {row[4] for path in paths for row in read_results_csv(str(path))} == {250}
 
 
 def test_compare_rejects_protocol_mismatch(tmp_path):
@@ -711,21 +722,21 @@ def test_compare_report_golden_digest(tmp_path, workers):
 
 # Pins the run_batch report trees (results, history, summaries, rotation
 # files) of ans, pso and de on the paths the compare digest does not reach:
-# no box clamp, frozen superiors, a generation cap (with runs that reach the
-# success threshold on f5), a budget that ends during initialization and one
-# that ends mid-sweep.  Same provenance and update
+# no box clamp, frozen superiors, a budget of whole generations (with runs
+# that reach the success threshold on f5), a budget that ends during
+# initialization and one that ends mid-sweep.  Same provenance and update
 # rule as GOLDEN_COMPARE_SHA256.
 GOLDEN_BATCH_SHA256 = "c1a52fe0e48b0e6ccbae77db3b87ba314cfee041d9ec411c8ec504e0a25a58b3"
 GOLDEN_BATCH_CASES = [
     ("ans", dict(boundary_policy="none", frozen_superiors=True, max_evals=107)),
     ("ans", dict(max_evals=7)),
-    ("ans", dict(max_generations=30, max_evals=5000)),
+    ("ans", dict(max_evals=20 * 31)),
     ("pso", dict(boundary_policy="none", max_evals=107)),
     ("pso", dict(max_evals=7)),
-    ("pso", dict(max_generations=25, max_evals=5000)),
+    ("pso", dict(max_evals=30 * 26)),
     ("de", dict(boundary_policy="none", de_pop_size=20, max_evals=107)),
     ("de", dict(max_evals=7)),
-    ("de", dict(max_generations=30, max_evals=5000, de_pop_size=20)),
+    ("de", dict(max_evals=20 * 31, de_pop_size=20)),
 ]
 
 

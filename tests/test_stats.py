@@ -87,6 +87,19 @@ def test_summarize_single_run_and_errors():
         summarize([1.0], [None, None])
 
 
+@pytest.mark.filterwarnings("error")
+def test_summarize_infinite_runs():
+    # A run whose every evaluation was NaN ends at +inf.  numpy's std warned
+    # and gave NaN here, and the summary row read INF,NAN.
+    inf = math.inf
+    assert summarize([inf, 1.0], [None, None]).std == inf
+    assert summarize([1.0, 2.0, inf], [None, None, None]).std == inf
+    s = summarize([inf, inf], [None, None])
+    assert (s.mean, s.std) == (inf, 0.0)
+    # Equal values have std 0, as a single run does, with no rounding residue.
+    assert summarize([0.1] * 3, [None] * 3).std == 0.0
+
+
 def test_rank_algorithms_cases():
     assert rank_algorithms([0.0] * 8) == [1] * 8
     assert rank_algorithms([3.0, 1.0, 2.0]) == [3, 1, 2]
