@@ -132,10 +132,10 @@ def penalized_2(x):
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """One benchmark function: the box [lo, hi] of every coordinate, the
-    row-wise ``function`` (f6's without noise) and the coordinate ``optimum``
-    its minimizer repeats in every dimension.  A rotated function evaluates
-    its ``base_id`` row's function at z = M x and keeps that row's box and
-    optimum."""
+    row-wise ``function`` (without the noise a ``noisy`` one adds to each
+    evaluation) and the coordinate ``optimum`` its minimizer repeats in
+    every dimension.  A rotated function evaluates its ``base_id`` row's
+    function at z = M x and keeps that row's box, optimum and noise."""
 
     id: str
     name: str
@@ -144,6 +144,7 @@ class BenchmarkSpec:
     function: Callable
     optimum: float = 0.0
     base_id: Optional[str] = None
+    noisy: bool = False
 
     @property
     def is_rotated(self) -> bool:
@@ -159,7 +160,7 @@ SPECS: Dict[str, BenchmarkSpec] = {s.id: s for s in (
     BenchmarkSpec("f3", "Schwefel 2.21", -10.0, 10.0, schwefel_2_21),
     BenchmarkSpec("f4", "Schwefel 2.22", -10.0, 10.0, schwefel_2_22),
     BenchmarkSpec("f5", "Step", -100.0, 100.0, step),
-    BenchmarkSpec("f6", "Noise Quadric", -2.048, 2.048, noise_quadric),
+    BenchmarkSpec("f6", "Noise Quadric", -2.048, 2.048, noise_quadric, noisy=True),
     BenchmarkSpec("f7", "Rastrigin", -5.12, 5.12, rastrigin),
     BenchmarkSpec("f8", "Noncontinuous Rastrigin", -600.0, 600.0, noncontinuous_rastrigin),
     BenchmarkSpec("f9", "Ackley", -32.0, 32.0, ackley),
@@ -253,7 +254,7 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
         raise ValueError(f"{function_id} is not rotated; it takes no rotation")
     return ObjectiveProblem(function_id=function_id, bounds=bounds, function=spec.function,
                             rotation=None if rotation is None else rotation.matrix,
-                            noisy=function_id == "f6")
+                            noisy=spec.noisy)
 
 
 def optimum_point(function_id: str, dim: int, rotation: Optional[np.ndarray] = None) -> np.ndarray:

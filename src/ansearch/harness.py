@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import (Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
@@ -25,7 +25,9 @@ from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation
 from .core import BOUNDARY_POLICIES, ObjectiveProblem
 from .engine import SUCCESS_THRESHOLD, AnsParams, RunBatch, RunResult, run as ans_run
 
-ALGORITHMS = ("ans", "pso", "de")
+# The one registry of algorithms: each params class declares its keys.
+PARAMS = {"ans": AnsParams, "pso": PsoParams, "de": DeParams}
+ALGORITHMS = tuple(PARAMS)
 _ALG_CODES = {"ans": 1, "pso": 2, "de": 3}
 _FUNC_NUMBER = {fid: i + 1 for i, fid in enumerate(FUNCTION_IDS)}
 _ROTATION_STREAM_TAG = 909090  # entropy word keeping rotation seeds apart from run seeds
@@ -33,7 +35,7 @@ _ROTATION_STREAM_TAG = 909090  # entropy word keeping rotation seeds apart from 
 DEFAULT_MASTER_SEED = 12345
 DEFAULT_RUNS = 25
 
-SWEEPABLE = {"n": "across_degree", "m": "population_size", "sigma": "sigma"}
+SWEEPABLE = {"n": "across_degree", "m": "population_size", "sigma": "sigma"}   # AnsParams fields
 
 
 class ConfigError(Exception):
@@ -47,6 +49,13 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: ``runs`` runs of ``algorithm`` per id in ``functions``
+    at ``dimensions``, ``budget()`` evaluations each, seeded from
+    ``master_seed``, in ``boundary_policy``'s box (``f8_narrow_range``) and
+    reported in ``output_dir`` (``write_history``, ``finner_mode``).  ``params``
+    holds the algorithm keys the config sets, fields of ``PARAMS[algorithm]``
+    but ``max_evals``; ``n_per_function`` replaces ``across_degree`` per id."""
+
     functions: Tuple[str, ...]
     dimensions: int
     algorithm: str = "ans"
@@ -58,22 +67,8 @@ class ExperimentConfig:
     finner_mode: str = "step_down"
     write_history: bool = False
     f8_narrow_range: bool = False
-    # across-neighbourhood search block
-    population_size: int = AnsParams.population_size
-    across_degree: int = AnsParams.across_degree
-    sigma: float = AnsParams.sigma
-    frozen_superiors: bool = AnsParams.frozen_superiors
     n_per_function: Dict[str, int] = field(default_factory=dict)
-    # PSO block
-    swarm_size: int = PsoParams.swarm_size
-    inertia: float = PsoParams.inertia
-    c1: float = PsoParams.c1
-    c2: float = PsoParams.c2
-    v_max: Optional[float] = PsoParams.v_max
-    # DE block
-    de_pop_size: int = DeParams.pop_size
-    de_weight: float = DeParams.weight
-    de_crossover: float = DeParams.crossover
+    params: Dict[str, object] = field(default_factory=dict)
 
     def budget(self) -> int:
         if self.max_evals is not None:
@@ -82,17 +77,10 @@ class ExperimentConfig:
 
     def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
         """The algorithm's params for one function of this experiment."""
-        if self.algorithm == "ans":
-            return AnsParams(population_size=self.population_size,
-                             across_degree=self.n_per_function.get(function_id,
-                                                                   self.across_degree),
-                             sigma=self.sigma, frozen_superiors=self.frozen_superiors,
-                             max_evals=self.budget())
-        if self.algorithm == "pso":
-            return PsoParams(swarm_size=self.swarm_size, inertia=self.inertia, c1=self.c1,
-                             c2=self.c2, v_max=self.v_max, max_evals=self.budget())
-        return DeParams(pop_size=self.de_pop_size, weight=self.de_weight,
-                        crossover=self.de_crossover, max_evals=self.budget())
+        params = dict(self.params)
+        if function_id in self.n_per_function:
+            params["across_degree"] = self.n_per_function[function_id]
+        return PARAMS[self.algorithm](**params, max_evals=self.budget())
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +127,7 @@ def _parse_degree_map(key, text):
 
 
 def _key_parser(hint):
-    """The parser of a config key, from its ``ExperimentConfig`` field type;
+    """The parser of a config key, from its field's type;
     ``Optional[X]`` reads as ``X``, ``Tuple[X, ...]`` as comma-separated X."""
     if get_origin(hint) is Union:
         hint, = (arg for arg in get_args(hint) if arg is not type(None))
@@ -150,8 +138,13 @@ def _key_parser(hint):
             Dict[str, int]: _parse_degree_map}[hint]
 
 
+# A config key is a field of ExperimentConfig or of a params class: no two
+# of them share a field name but max_evals, which is the config's.
+_PARAM_HINTS = {name: hint for cls in PARAMS.values()
+                for name, hint in get_type_hints(cls).items() if name != "max_evals"}
 _KEY_PARSERS = {name: _key_parser(hint)
-                for name, hint in get_type_hints(ExperimentConfig).items()}
+                for name, hint in {**get_type_hints(ExperimentConfig), **_PARAM_HINTS}.items()
+                if name != "params"}
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -160,6 +153,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.algorithm not in ALGORITHMS:
         raise ConfigError("invalid_value", f"algorithm must be one of {ALGORITHMS}, "
                                            f"got {config.algorithm!r}")
+    # Keys the algorithm reads: max_evals is the config's; n_per_function sets across_degree.
+    keys = {f.name for f in fields(PARAMS[config.algorithm])} - {"max_evals"}
+    stray = [key for key in config.params if key not in keys]
+    if config.n_per_function and "across_degree" not in keys:
+        stray.append("n_per_function")
+    if stray:
+        raise ConfigError("invalid_value", f"{stray[0]}: not a parameter of the "
+                                           f"{config.algorithm} algorithm")
     if not config.functions:
         raise ConfigError("invalid_value", "functions: at least one function id is required")
     for i, fid in enumerate(config.functions):
@@ -188,7 +189,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     for fid in config.functions:
         try:
             params = config.params_for(fid)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:   # TypeError: a library value of a wrong type
             raise ConfigError("invalid_value", str(exc)) from None
         if isinstance(params, AnsParams) and params.across_degree > config.dimensions:
             raise ConfigError("invalid_value", f"{fid}: across_degree {params.across_degree} "
@@ -197,7 +198,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values = {}
+    values, params = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -207,17 +208,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_PARSERS:
             raise ConfigError("unknown_key", f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in values or key in params:
             raise ConfigError("syntax", f"line {lineno}: duplicate key {key!r}")
-        values[key] = _KEY_PARSERS[key](key, val)
+        (params if key in _PARAM_HINTS else values)[key] = _KEY_PARSERS[key](key, val)
     for required in ("functions", "dimensions"):
         if required not in values:
             raise ConfigError("invalid_value", f"missing required key {required!r}")
-    try:
-        config = ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError("invalid_value", str(exc)) from None
-    return validate_config(config)
+    return validate_config(ExperimentConfig(**values, params=params))
 
 
 def _read_text(path: Union[str, os.PathLike]) -> str:
@@ -463,14 +460,17 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
 
 
 def _write_failures(out_dir: str, failures: Sequence[Tuple[str, int, str]]) -> None:
-    """``failures.csv``, one row per failed run; none when no run failed."""
-    if failures:
-        lines = []
-        for fid, idx, msg in failures:
-            # One row per failure: no field or line separators in the message.
-            msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
-            lines.append(f"{fid},{idx},{msg}")
-        _write_table(os.path.join(out_dir, "failures.csv"), "function,run_index,error", lines)
+    """``failures.csv``, one row per failed run; with none, an old one is removed."""
+    path = os.path.join(out_dir, "failures.csv")
+    lines = []
+    for fid, idx, msg in failures:
+        # One row per failure: no field or line separators in the message.
+        msg = msg.replace(",", ";").replace("\r", " ").replace("\n", " ")
+        lines.append(f"{fid},{idx},{msg}")
+    if lines:
+        _write_table(path, "function,run_index,error", lines)
+    elif os.path.exists(path):
+        os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +510,9 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
             value = int(value)
         if any(value == taken for taken, _ in configs):
             raise ConfigError("invalid_value", f"{parameter} value {_fmt_value(value)} is repeated")
-        overrides = {field_name: value}
-        if parameter == "n":
-            overrides["n_per_function"] = {}  # the swept value applies to every function
-        candidate = replace(config, **overrides)
+        # A swept n applies to every function.
+        candidate = replace(config, params={**config.params, field_name: value},
+                            n_per_function={} if parameter == "n" else config.n_per_function)
         configs.append((value, validate_config(candidate)))
     _check_workers(workers)
     _make_output_dirs(config.output_dir)

@@ -56,9 +56,10 @@ def test_minimal_config_defaults(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
     assert config.runs == 25
     assert config.budget() == 300_000
-    assert config.population_size == 20
-    assert config.sigma == 0.5
-    assert config.across_degree == 1
+    params = config.params_for("f1")
+    assert params.population_size == 20
+    assert params.sigma == 0.5
+    assert params.across_degree == 1
     assert config.boundary_policy == "clamp"
     assert config.finner_mode == "step_down"
 
@@ -78,14 +79,16 @@ def test_n_per_function_override():
 
 
 def test_degree_is_checked_at_the_degree_each_function_runs_at():
-    # The degree keys are read by ans alone, and a function's
-    # n_per_function entry replaces across_degree for it.
+    # A function's n_per_function entry replaces across_degree for it.  The
+    # degree keys are read by ans alone, so a pso config that sets one is
+    # refused (it was accepted and ignored).
     config = parse_config_text("functions = f1\ndimensions = 5\nacross_degree = 9\n"
                                "n_per_function = f1:2\n")
     assert config.params_for("f1").across_degree == 2
-    pso = parse_config_text("algorithm = pso\nfunctions = f1\ndimensions = 5\n"
-                            "across_degree = 9\n")
-    assert pso.algorithm == "pso"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("algorithm = pso\nfunctions = f1\ndimensions = 5\n"
+                          "across_degree = 9\n")
+    assert err.value.code == "invalid_value"
 
 
 def test_config_error_codes(tmp_path):
@@ -136,7 +139,7 @@ def test_config_error_codes(tmp_path):
     # inf * 0 = NaN positions, and a repeated n_per_function id kept only
     # its last entry.  A negative master seed failed every run.
     for extra in ("algorithm = pso\nv_max = -1\n",
-                  "algorithm = de\nde_weight = nan\n",
+                  "algorithm = de\nweight = nan\n",
                   "sigma = inf\n",
                   "n_per_function = f1:1,f1:2\n",
                   "master_seed = -1\n",
@@ -169,16 +172,95 @@ def test_validate_config_checks_function_ids_of_library_configs(tmp_path, overri
     assert not (tmp_path / "lib").exists()
 
 
+# Each algorithm's block of keys, one valid setting a line.
+BLOCK_KEYS = {
+    "ans": "population_size = 10\nacross_degree = 2\nsigma = 0.4\nfrozen_superiors = true\n"
+           "n_per_function = f1:2\n",
+    "pso": "swarm_size = 10\ninertia = 0.6\nc1 = 1.5\nc2 = 1.5\nv_max = 1.0\n",
+    "de": "pop_size = 10\nweight = 0.6\ncrossover = 0.5\n",
+}
+FOREIGN_KEYS = [(alg, line) for alg in BLOCK_KEYS for other, block in BLOCK_KEYS.items()
+                if other != alg for line in block.splitlines()]
+
+
+def test_each_block_is_valid_for_its_own_algorithm():
+    for alg, block in BLOCK_KEYS.items():
+        config = parse_config_text(f"algorithm = {alg}\nfunctions = f1\ndimensions = 5\n" + block)
+        params = config.params_for("f1")
+        assert type(params) is harness.PARAMS[alg]
+        assert params.max_evals == config.budget()
+        for line in block.splitlines():
+            key = line.split(" = ")[0]
+            assert key == "n_per_function" or key in config.params, key
+
+
+@pytest.mark.parametrize("alg,line", FOREIGN_KEYS, ids=[f"{alg}-{line.split()[0]}"
+                                                        for alg, line in FOREIGN_KEYS])
+def test_key_of_another_algorithm_is_refused(tmp_path, capsys, alg, line):
+    # A pso config that set sigma, or a de config that set population_size,
+    # was accepted and the key ignored.
+    path = write_config(tmp_path, f"algorithm = {alg}\nfunctions = f1\ndimensions = 5\n"
+                                  f"runs = 2\nmax_evals = 50\noutput_dir = {tmp_path / 'out'}\n"
+                                  + line + "\n")
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert err == f"config error [invalid_value]: {key}: not a parameter of the {alg} algorithm\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["de_pop_size", "de_weight", "de_crossover"])
+def test_old_de_key_spellings_are_unknown(key):
+    # DE's keys are its DeParams field names; an old spelling must not be
+    # read as something else.
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"algorithm = de\nfunctions = f1\ndimensions = 5\n{key} = 20\n")
+    assert err.value.code == "unknown_key" and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("params,named", [({"max_evals": 5}, "max_evals"),
+                                          ({"bogus": 1}, "bogus"),
+                                          ({"sigma": "x"}, None)])
+def test_library_config_params_are_checked(tmp_path, params, named):
+    # A config built in Python holds any params mapping: the budget is the
+    # config's max_evals, and a value of a wrong type raised a TypeError.
+    config = ExperimentConfig(functions=("f1",), dimensions=3, output_dir=str(tmp_path / "lib"),
+                              params=params)
+    with pytest.raises(ConfigError) as err:
+        run_batch(config)
+    assert err.value.code == "invalid_value"
+    if named:
+        assert str(err.value) == f"{named}: not a parameter of the ans algorithm"
+    assert not (tmp_path / "lib").exists()
+
+
+def test_config_classes_share_no_field_but_max_evals():
+    # parse_config_text sends each key to the config or to its params in one
+    # pass, so no key may name a field of two of these classes.
+    classes = (ExperimentConfig, *harness.PARAMS.values())
+    names = [f.name for cls in classes for f in fields(cls) if f.name != "max_evals"]
+    assert len(names) == len(set(names))
+    assert all("max_evals" in {f.name for f in fields(cls)} for cls in classes)
+
+
+def read_readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return fh.read()
+
+
+def test_readme_example_config_parses():
+    block = read_readme().split("```ini\n", 1)[1].split("```", 1)[0]
+    config = parse_config_text(block)
+    assert config.functions == ("f7", "f9") and config.params_for("f9").across_degree == 28
+
+
 def test_readme_config_keys_table_names_every_config_field():
-    # Each key is read off its ExperimentConfig field; the README table
-    # must name exactly those keys.
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        section = fh.read().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    # Each key is read off its field of ExperimentConfig or of a params
+    # class; the README table must name exactly those keys.
+    section = read_readme().split("### Config keys", 1)[1].split("\n#", 1)[0]
     keys = [key.strip().strip("`") for line in section.splitlines()
             if line.startswith("| `") for key in line.split("|")[1].split(",")]
-    assert sorted(keys) == sorted(f.name for f in fields(harness.ExperimentConfig))
-    assert set(harness._KEY_PARSERS) == set(keys)
+    assert sorted(keys) == sorted(harness._KEY_PARSERS)
 
 
 def test_config_comments_and_blank_lines():
@@ -242,12 +324,12 @@ def test_run_batch_deterministic_across_workers_and_invocations(tmp_path):
 # Lockstep runs: every run keeps its own stream, so a run's result must not
 # depend on which runs share its call, nor on how runs are split over workers.
 LOCKSTEP_CASES = [
-    ("ans", dict(frozen_superiors=True, boundary_policy="none", max_evals=107)),
+    ("ans", dict(params={"frozen_superiors": True}, boundary_policy="none", max_evals=107)),
     ("ans", dict(max_evals=20 * 121, n_per_function={"f13": 3})),
     ("pso", dict(boundary_policy="none", max_evals=107)),
-    ("pso", dict(max_evals=12 * 301, swarm_size=12)),
-    ("de", dict(boundary_policy="none", de_pop_size=12, max_evals=107)),
-    ("de", dict(max_evals=12 * 351, de_pop_size=12)),
+    ("pso", dict(max_evals=12 * 301, params={"swarm_size": 12})),
+    ("de", dict(boundary_policy="none", params={"pop_size": 12}, max_evals=107)),
+    ("de", dict(max_evals=12 * 351, params={"pop_size": 12})),
 ]
 
 
@@ -276,7 +358,8 @@ def test_lockstep_batch_matches_one_run_batches(alg, overrides):
 
 @pytest.mark.parametrize("alg", ["pso", "de"])
 def test_run_batch_worker_count_invariant_for_baselines(tmp_path, alg):
-    config = lockstep_config(alg, dict(max_evals=250, de_pop_size=12, swarm_size=12))
+    size_key = {"pso": "swarm_size", "de": "pop_size"}[alg]
+    config = lockstep_config(alg, dict(max_evals=250, params={size_key: 12}))
     run_batch(config, workers=1, output_dir=str(tmp_path / "w1"))
     run_batch(config, workers=2, output_dir=str(tmp_path / "w2"))
     one, two = read_tree(tmp_path / "w1"), read_tree(tmp_path / "w2")
@@ -314,6 +397,26 @@ def test_run_batch_records_failures_and_continues(tmp_path, monkeypatch):
     assert "f5" in batch.summaries and "f1" not in batch.summaries
     with open(os.path.join(config.output_dir, "failures.csv")) as fh:
         assert len(fh.read().splitlines()) == 4
+
+
+def test_clean_rerun_removes_a_stale_failures_csv(tmp_path, monkeypatch, capsys):
+    # A failed batch's failures.csv survived a clean rerun into the same
+    # directory, listing runs that no longer failed, while the rerun exited 0.
+    def boom(x):
+        raise RuntimeError("synthetic failure")
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, TINY.format(out=out))
+    # f1's 3 runs fail, once in the run and once per value in the sweep.
+    for argv, failed in ((["run", str(path)], 3),
+                         (["sweep", str(path), "--param", "m", "--values", "5,10"], 6)):
+        with monkeypatch.context() as patch:
+            patch.setitem(benchmarks.SPECS, "f1", replace(benchmarks.SPECS["f1"], function=boom))
+            assert cli.main(argv) == 1, argv
+        assert len(read_lines(out / "failures.csv")) == 1 + failed, argv
+        assert cli.main(argv) == 0, argv
+        assert not (out / "failures.csv").exists(), argv
+    capsys.readouterr()
 
 
 def test_failures_csv_keeps_one_row_per_multiline_error(tmp_path, monkeypatch):
@@ -551,7 +654,7 @@ def test_trace_files_and_warnings(tmp_path):
     with open(os.path.join(out, "trace_gen3.csv")) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "generation,kind,index,x1,x2"
-    assert len(lines) - 1 == 2 * config.population_size
+    assert len(lines) - 1 == 2 * config.params_for("f7").population_size
     kinds = {line.split(",")[1] for line in lines[1:]}
     assert kinds == {"individual", "superior"}
 
@@ -569,7 +672,7 @@ def test_trace_budget_below_population_leaves_undrawn_rows_nan(tmp_path):
     # Initialization stops with the budget: individuals 3 and 4 are never
     # drawn, so their position and superior are written as nan.
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2, runs=1,
-                         max_evals=3, population_size=5)
+                         max_evals=3, params={"population_size": 5})
     result, _, _ = trace(config, gens=[0])
     assert result.evals_used == 3 and result.generations == 0
     rows = read_lines(os.path.join(config.output_dir, "trace_gen0.csv"))[1:]
@@ -631,7 +734,7 @@ def test_compare_direction_against_weak_baseline(tmp_path):
     # (samples do not even overlap), so the peer verdict must be "minus".
     ans_config = tiny_config(tmp_path, functions=("f7",), dimensions=10,
                              max_evals=6_000, runs=5)
-    de_config = replace(ans_config, algorithm="de", de_pop_size=50)
+    de_config = replace(ans_config, algorithm="de", params={"pop_size": 50})
     report = compare([ans_config, de_config], reference="ans",
                      output_dir=str(tmp_path / "cmp"))
     assert report.verdicts["de"]["f7"].symbol == "minus"
@@ -649,7 +752,8 @@ def test_compare_mean_rank_consistency(tmp_path):
     # One budget at population sizes 20 (ans), 30 (pso) and 100 (de).
     equal = replace(ans_config, max_evals=250)
     for name, configs in (
-            ("cmp2", [ans_config, replace(ans_config, algorithm="pso", swarm_size=10)]),
+            ("cmp2", [ans_config, replace(ans_config, algorithm="pso",
+                                          params={"swarm_size": 10})]),
             ("cmp3", [equal, replace(equal, algorithm="pso"), replace(equal, algorithm="de")])):
         report = compare(configs, reference="ans", output_dir=str(tmp_path / name))
         for label in report.labels:
@@ -685,7 +789,7 @@ def test_compare_rejects_protocol_mismatch(tmp_path):
 def test_compare_shares_rotation_across_algorithms(tmp_path):
     ans_config = tiny_config(tmp_path, functions=("f13",), dimensions=3,
                              max_evals=300, runs=2)
-    de_config = replace(ans_config, algorithm="de", de_pop_size=20)
+    de_config = replace(ans_config, algorithm="de", params={"pop_size": 20})
     compare([ans_config, de_config], output_dir=str(tmp_path / "cmp3"))
     a = benchmarks.load_rotation_matrix(tmp_path / "cmp3" / "ans" / "rotation_f13_D3.txt")
     b = benchmarks.load_rotation_matrix(tmp_path / "cmp3" / "de" / "rotation_f13_D3.txt")
@@ -728,15 +832,15 @@ def test_compare_report_golden_digest(tmp_path, workers):
 # rule as GOLDEN_COMPARE_SHA256.
 GOLDEN_BATCH_SHA256 = "c1a52fe0e48b0e6ccbae77db3b87ba314cfee041d9ec411c8ec504e0a25a58b3"
 GOLDEN_BATCH_CASES = [
-    ("ans", dict(boundary_policy="none", frozen_superiors=True, max_evals=107)),
+    ("ans", dict(boundary_policy="none", params={"frozen_superiors": True}, max_evals=107)),
     ("ans", dict(max_evals=7)),
     ("ans", dict(max_evals=20 * 31)),
     ("pso", dict(boundary_policy="none", max_evals=107)),
     ("pso", dict(max_evals=7)),
     ("pso", dict(max_evals=30 * 26)),
-    ("de", dict(boundary_policy="none", de_pop_size=20, max_evals=107)),
+    ("de", dict(boundary_policy="none", params={"pop_size": 20}, max_evals=107)),
     ("de", dict(max_evals=7)),
-    ("de", dict(max_evals=20 * 31, de_pop_size=20)),
+    ("de", dict(max_evals=20 * 31, params={"pop_size": 20})),
 ]
 
 
@@ -759,7 +863,7 @@ GOLDEN_ALL18_SHA256 = "5c7680c166aa26ea6f5526ed8fd524c5e2c96e323ffa346862469d98f
 GOLDEN_ALL18_CASES = [
     ("ans", dict(n_per_function={"f1": 5, "f13": 12})),
     ("pso", dict()),
-    ("de", dict(de_pop_size=20)),
+    ("de", dict(params={"pop_size": 20})),
 ]
 
 
@@ -967,7 +1071,8 @@ def test_cli_compare_reports_failed_runs(tmp_path, monkeypatch, capsys, failed_f
 
 
 def test_cli_sweep_reports_failed_runs(tmp_path, monkeypatch, capsys):
-    fail_jobs(monkeypatch, lambda job: job.function_id == "f1" and job.config.sigma == 0.6)
+    fail_jobs(monkeypatch, lambda job: job.function_id == "f1"
+              and job.config.params.get("sigma") == 0.6)
     out = tmp_path / "sw"
     path = write_config(tmp_path, TINY.format(out=out))
     assert cli.main(["sweep", str(path), "--param", "sigma", "--values", "0.4,0.6"]) == 1
