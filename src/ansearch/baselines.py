@@ -18,19 +18,19 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream
-from .engine import PopulationState, RunBatch, _check_budget, draw_blocks, run_loop, sweep
+from .engine import Params, PopulationState, RunBatch, draw_blocks, run_loop, sweep
 
 
 @dataclass(frozen=True)
-class PsoParams:
+class PsoParams(Params):
     swarm_size: int = 30
     inertia: float = 0.7298
     c1: float = 1.49445
     c2: float = 1.49445
     v_max: Optional[float] = None   # None -> half the search range width
-    max_evals: int = 300_000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         for name in ("inertia", "c1", "c2"):
@@ -38,24 +38,22 @@ class PsoParams:
                 raise ValueError(f"{name} must be finite")
         if self.v_max is not None and not self.v_max > 0:
             raise ValueError("v_max must be > 0 when given")
-        _check_budget(self)
 
 
 @dataclass(frozen=True)
-class DeParams:
+class DeParams(Params):
     pop_size: int = 100
     weight: float = 0.5      # difference scale factor
     crossover: float = 0.9   # binomial crossover rate
-    max_evals: int = 300_000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.pop_size < 4:
             raise ValueError("pop_size must be >= 4 (mutation needs three distinct peers)")
         if not np.isfinite(self.weight):
             raise ValueError("weight must be finite")
         if not 0.0 <= self.crossover <= 1.0:
             raise ValueError("crossover rate must lie in [0, 1]")
-        _check_budget(self)
 
 
 @dataclass(kw_only=True)
@@ -146,10 +144,11 @@ def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
 # ---------------------------------------------------------------------------
 
 def pso_run(problem: ObjectiveProblem, params: PsoParams,
-            seeds: Sequence[Union[int, Sequence[int]]]) -> RunBatch:
-    return run_loop(problem, params, seeds, params.swarm_size, SwarmState, pso_step)
+            seeds: Sequence[Union[int, Sequence[int]]], on_generation=None) -> RunBatch:
+    return run_loop(problem, params, seeds, params.swarm_size, SwarmState, pso_step, on_generation)
 
 
 def de_run(problem: ObjectiveProblem, params: DeParams,
-           seeds: Sequence[Union[int, Sequence[int]]]) -> RunBatch:
-    return run_loop(problem, params, seeds, params.pop_size, PopulationState, de_step)
+           seeds: Sequence[Union[int, Sequence[int]]], on_generation=None) -> RunBatch:
+    return run_loop(problem, params, seeds, params.pop_size, PopulationState, de_step,
+                    on_generation)

@@ -131,10 +131,11 @@ def penalized_2(x):
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """One benchmark function: the box [lo, hi] of every coordinate, the
-    row-wise ``function`` (without the noise a ``noisy`` one adds to each
-    evaluation) and the coordinate ``optimum`` its minimizer repeats in
-    every dimension.  A rotated function evaluates its ``base_id`` row's
+    """One benchmark function: the box [lo, hi] of every coordinate (``narrow``,
+    if set, is the half-width of the box ``make_problem(f8_narrow_range=True)``
+    gives instead), the row-wise ``function`` (without the noise a ``noisy`` one
+    adds to each evaluation) and the coordinate ``optimum`` its minimizer repeats
+    in every dimension.  A rotated function evaluates its ``base_id`` row's
     function at z = M x and keeps that row's box, optimum and noise."""
 
     id: str
@@ -145,6 +146,7 @@ class BenchmarkSpec:
     optimum: float = 0.0
     base_id: Optional[str] = None
     noisy: bool = False
+    narrow: Optional[float] = None
 
     @property
     def is_rotated(self) -> bool:
@@ -152,8 +154,7 @@ class BenchmarkSpec:
 
 
 # The noncontinuous Rastrigin (f8) keeps its published [-600, 600] range
-# even though the usual literature uses [-5.12, 5.12]; see
-# ``make_problem(f8_narrow_range=True)`` for the conventional box.
+# even though the usual literature uses [-5.12, 5.12], its ``narrow`` box.
 SPECS: Dict[str, BenchmarkSpec] = {s.id: s for s in (
     BenchmarkSpec("f1", "Sphere", -500.0, 500.0, sphere),
     BenchmarkSpec("f2", "Rosenbrock", -2.048, 2.048, rosenbrock, optimum=1.0),
@@ -162,7 +163,8 @@ SPECS: Dict[str, BenchmarkSpec] = {s.id: s for s in (
     BenchmarkSpec("f5", "Step", -100.0, 100.0, step),
     BenchmarkSpec("f6", "Noise Quadric", -2.048, 2.048, noise_quadric, noisy=True),
     BenchmarkSpec("f7", "Rastrigin", -5.12, 5.12, rastrigin),
-    BenchmarkSpec("f8", "Noncontinuous Rastrigin", -600.0, 600.0, noncontinuous_rastrigin),
+    BenchmarkSpec("f8", "Noncontinuous Rastrigin", -600.0, 600.0, noncontinuous_rastrigin,
+                  narrow=5.12),
     BenchmarkSpec("f9", "Ackley", -32.0, 32.0, ackley),
     BenchmarkSpec("f10", "Griewank", -600.0, 600.0, griewank),
     BenchmarkSpec("f11", "Penalized 1", -50.0, 50.0, penalized_1, optimum=-1.0),
@@ -242,8 +244,8 @@ def make_problem(function_id: str, dim: int, rotation: Optional[RotationMatrix] 
         raise ValueError(f"unknown function id {function_id!r}")
     spec = SPECS[function_id]
     lo, hi = spec.lo, spec.hi
-    if function_id == "f8" and f8_narrow_range:
-        lo, hi = -5.12, 5.12
+    if f8_narrow_range and spec.narrow is not None:
+        lo, hi = -spec.narrow, spec.narrow
     bounds = SearchBounds(lo, hi, dim, boundary)
     if spec.is_rotated:
         if rotation is None:

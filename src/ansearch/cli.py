@@ -41,8 +41,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = harness.load_config(args.config)
-    values = harness._parse_list("--values", args.values,
-                                 partial(harness._parse_number, kind=float))
+    field = harness.PAPER_NAMES.get(args.param, args.param)
+    values = harness._parse_list("--values", args.values,   # unknown key: text; sweep refuses it
+                                 harness._KEY_PARSERS.get(field, lambda key, text: text))
     rows, failures = harness.sweep(config, args.param, values, workers=args.workers)
     print(f"{'function':10s} {args.param:>8s} {'mean':>14s} {'sr':>8s}  best")
     for row in rows:
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one tunable parameter")
     p.add_argument("config")
-    p.add_argument("--param", required=True, choices=sorted(harness.SWEEPABLE))
+    p.add_argument("--param", required=True, help="a key of the config's algorithm "
+                   "(its params class in harness.PARAMS, but max_evals), or the paper's n or m")
     p.add_argument("--values", required=True, help="comma-separated candidate values")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

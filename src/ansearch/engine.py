@@ -25,7 +25,8 @@ tries.  Every memory starts at +inf and adopts only a strictly better point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Type, Union
+from functools import cache
+from typing import Callable, List, Optional, Sequence, Tuple, Type, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,9 +35,35 @@ from .core import RngStream, SearchBounds, ObjectiveProblem
 SUCCESS_THRESHOLD = 1e-5
 
 
+# Per hinted type, its name in an error and the values it takes: a float field
+# takes an int too, and only a bool field takes a bool.
+_KINDS = {int: ("an integer", (int, np.integer)), bool: ("true/false", bool),
+          float: ("a number", (int, float, np.integer, np.floating)),
+          type(None): ("None", type(None))}
+_type_hints = cache(get_type_hints)   # resolved once per class: uncached it is slow
+
+
 @dataclass(frozen=True)
-class AnsParams:
-    """Tunable parameters plus the evaluation budget.
+class Params:
+    """The budget all algorithms share.  Checks that each field's value fits its
+    type hint, then the budget; a subclass's ``__post_init__`` calls this first."""
+
+    max_evals: int = 300_000
+
+    def __post_init__(self):
+        for name, hint in _type_hints(type(self)).items():
+            value, kinds = getattr(self, name), get_args(hint) or (hint,)   # Optional[X]: X, None
+            if not any(isinstance(value, _KINDS[k][1]) and isinstance(value, bool) == (k is bool)
+                       for k in kinds):
+                raise ValueError(f"{name}: expected {' or '.join(_KINDS[k][0] for k in kinds)}, "
+                                 f"got {value!r}")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be >= 1")
+
+
+@dataclass(frozen=True)
+class AnsParams(Params):
+    """Tunable parameters plus the evaluation budget (:class:`Params`).
 
     Each individual contributes exactly one superior solution to the shared
     pool, so the pool size is ``population_size``.  ``across_degree`` of 0
@@ -48,10 +75,10 @@ class AnsParams:
     population_size: int = 20
     across_degree: int = 1
     sigma: float = 0.5
-    max_evals: int = 300_000
     frozen_superiors: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.across_degree < 0:
@@ -60,13 +87,6 @@ class AnsParams:
             raise ValueError("across_degree >= 1 needs population_size >= 2")
         if not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be finite and > 0")
-        _check_budget(self)
-
-
-def _check_budget(params) -> None:
-    """The budget field the ANS, PSO and DE params share."""
-    if params.max_evals < 1:
-        raise ValueError("max_evals must be >= 1")
 
 
 def _adopt(points: np.ndarray, fitness: np.ndarray, x: np.ndarray, fit: np.ndarray) -> None:

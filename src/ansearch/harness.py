@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
 import numpy as np
@@ -22,20 +22,20 @@ import numpy as np
 from . import benchmarks, stats
 from .baselines import DeParams, PsoParams, de_run, pso_run
 from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation_matrix
-from .core import BOUNDARY_POLICIES, ObjectiveProblem
+from .core import BOUNDARY_POLICIES
 from .engine import SUCCESS_THRESHOLD, AnsParams, RunBatch, RunResult, run as ans_run
 
-# The one registry of algorithms: each params class declares its keys.
+# The one registry of algorithms: each params class declares its keys; the run
+# function is <alg>_run.  The order is part of the run seeds: append new ones.
 PARAMS = {"ans": AnsParams, "pso": PsoParams, "de": DeParams}
 ALGORITHMS = tuple(PARAMS)
-_ALG_CODES = {"ans": 1, "pso": 2, "de": 3}
 _FUNC_NUMBER = {fid: i + 1 for i, fid in enumerate(FUNCTION_IDS)}
 _ROTATION_STREAM_TAG = 909090  # entropy word keeping rotation seeds apart from run seeds
 
 DEFAULT_MASTER_SEED = 12345
 DEFAULT_RUNS = 25
 
-SWEEPABLE = {"n": "across_degree", "m": "population_size", "sigma": "sigma"}   # AnsParams fields
+PAPER_NAMES = {"n": "across_degree", "m": "population_size"}   # the paper's names of AnsParams keys
 
 
 class ConfigError(Exception):
@@ -54,7 +54,7 @@ class ExperimentConfig:
     ``master_seed``, in ``boundary_policy``'s box (``f8_narrow_range``) and
     reported in ``output_dir`` (``write_history``, ``finner_mode``).  ``params``
     holds the algorithm keys the config sets, fields of ``PARAMS[algorithm]``
-    but ``max_evals``; ``n_per_function`` replaces ``across_degree`` per id."""
+    but ``max_evals``; ``n_per_function``, if set, replaces ``across_degree`` per id."""
 
     functions: Tuple[str, ...]
     dimensions: int
@@ -67,7 +67,7 @@ class ExperimentConfig:
     finner_mode: str = "step_down"
     write_history: bool = False
     f8_narrow_range: bool = False
-    n_per_function: Dict[str, int] = field(default_factory=dict)
+    n_per_function: Optional[Dict[str, int]] = None
     params: Dict[str, object] = field(default_factory=dict)
 
     def budget(self) -> int:
@@ -78,7 +78,7 @@ class ExperimentConfig:
     def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
         """The algorithm's params for one function of this experiment."""
         params = dict(self.params)
-        if function_id in self.n_per_function:
+        if function_id in (self.n_per_function or {}):
             params["across_degree"] = self.n_per_function[function_id]
         return PARAMS[self.algorithm](**params, max_evals=self.budget())
 
@@ -156,7 +156,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     # Keys the algorithm reads: max_evals is the config's; n_per_function sets across_degree.
     keys = {f.name for f in fields(PARAMS[config.algorithm])} - {"max_evals"}
     stray = [key for key in config.params if key not in keys]
-    if config.n_per_function and "across_degree" not in keys:
+    if config.n_per_function is not None and "across_degree" not in keys:
         stray.append("n_per_function")
     if stray:
         raise ConfigError("invalid_value", f"{stray[0]}: not a parameter of the "
@@ -168,7 +168,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
         if fid in config.functions[:i]:
             raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
-    for fid in config.n_per_function:
+    for fid in config.n_per_function or {}:
         if fid not in SPECS:
             raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
         if fid not in config.functions:   # it would never be read
@@ -189,7 +189,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     for fid in config.functions:
         try:
             params = config.params_for(fid)
-        except (TypeError, ValueError) as exc:   # TypeError: a library value of a wrong type
+        except ValueError as exc:
             raise ConfigError("invalid_value", str(exc)) from None
         if isinstance(params, AnsParams) and params.across_degree > config.dimensions:
             raise ConfigError("invalid_value", f"{fid}: across_degree {params.across_degree} "
@@ -248,7 +248,8 @@ def _derive_seed(*words: int) -> int:
 
 def derive_run_seed(master_seed: int, algorithm: str, function_id: str, run_index: int) -> int:
     """Independent 64-bit seed per (algorithm, function, run); pure function."""
-    return _derive_seed(master_seed, _ALG_CODES[algorithm], _FUNC_NUMBER[function_id], run_index)
+    return _derive_seed(master_seed, ALGORITHMS.index(algorithm) + 1, _FUNC_NUMBER[function_id],
+                        run_index)
 
 
 def derive_rotation_seed(master_seed: int, function_id: str) -> int:
@@ -281,23 +282,19 @@ class Job:
     def algorithm(self) -> str:
         return self.config.algorithm
 
-    def inputs(self) -> Tuple[ObjectiveProblem, Union[AnsParams, PsoParams, DeParams],
-                              List[int]]:
-        """The problem, the params and the run seeds of this job."""
-        config, fid = self.config, self.function_id
-        problem = benchmarks.make_problem(fid, config.dimensions,
-                                          rotation=_rotation(config, fid),
-                                          f8_narrow_range=config.f8_narrow_range,
-                                          boundary=config.boundary_policy)
-        seeds = [derive_run_seed(config.master_seed, config.algorithm, fid, idx)
-                 for idx in self.run_indices]
-        return problem, config.params_for(fid), seeds
 
-
-def execute_job(job: Job) -> RunBatch:
-    # Looked up per call, so the module-level run names can be wrapped.
-    run_fn = {"ans": ans_run, "pso": pso_run, "de": de_run}[job.algorithm]
-    return run_fn(*job.inputs())
+def execute_job(job: Job, on_generation: Optional[Callable] = None) -> RunBatch:
+    """The job's runs of its algorithm, with the config's params and each run's
+    seed; ``on_generation`` as for :func:`engine.run_loop`."""
+    config, fid = job.config, job.function_id
+    problem = benchmarks.make_problem(fid, config.dimensions, rotation=_rotation(config, fid),
+                                      f8_narrow_range=config.f8_narrow_range,
+                                      boundary=config.boundary_policy)
+    seeds = [derive_run_seed(config.master_seed, job.algorithm, fid, idx)
+             for idx in job.run_indices]
+    # ans_run, pso_run or de_run, looked up per call so that those names can be wrapped.
+    run_fn = globals()[f"{job.algorithm}_run"]
+    return run_fn(problem, config.params_for(fid), seeds, on_generation=on_generation)
 
 
 def _safe_execute(job: Job) -> Tuple[List[Optional[RunResult]], Optional[str]]:
@@ -393,9 +390,11 @@ def _fmt_summary(s: stats.FunctionSummary) -> str:
     return f"{s.mean:.6E},{s.std:.6E},{nfe},{s.success_rate * 100:g}%"
 
 
-def _fmt_value(value: float) -> str:
-    """``:g`` where it is exact, else the shortest text that reads back as
-    ``value`` (``repr``), so no swept value is rounded."""
+def _fmt_value(value) -> str:
+    """A float by ``:g`` where that is exact, else by ``repr``, so no swept
+    value is rounded; an int, a bool or None by ``str``."""
+    if not isinstance(value, float):
+        return str(value)
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
 
@@ -480,39 +479,31 @@ def _write_failures(out_dir: str, failures: Sequence[Tuple[str, int, str]]) -> N
 @dataclass(frozen=True)
 class SweepRow:
     function_id: str
-    value: float
+    value: object
     summary: stats.FunctionSummary
     best: bool
 
 
-def sweep(config: ExperimentConfig, parameter: str, values: Sequence[float],
+def sweep(config: ExperimentConfig, parameter: str, values: Sequence[object],
           workers: int = 1) -> Tuple[List[SweepRow], List[Tuple[str, int, str]]]:
-    """Re-run the batch once per candidate value of one tunable parameter,
-    holding everything else (including run seeds) fixed, and mark the best
-    value per function by mean final fitness.
+    """Re-run the batch once per candidate value of one key of the config's
+    algorithm (or its paper name, ``PAPER_NAMES``), holding all else (run
+    seeds too) fixed, and mark the best value per function by mean fitness.
 
     Returns the rows and the failed runs; a failure's message names its
     value.  A value none of whose runs of a function completed has no row
     for that function.  A repeated value is an error."""
-    if config.algorithm != "ans":
-        raise ConfigError("invalid_value", "parameter sweeps apply to the ans algorithm only")
-    if parameter not in SWEEPABLE:
-        raise ConfigError("invalid_value", f"sweep parameter must be one of "
-                                           f"{sorted(SWEEPABLE)}, got {parameter!r}")
     if not values:
         raise ConfigError("invalid_value", "sweep needs at least one candidate value")
-    field_name = SWEEPABLE[parameter]
+    field_name = PAPER_NAMES.get(parameter, parameter)
     configs = []
     for value in values:
-        if parameter in ("n", "m"):
-            if not float(value).is_integer():   # also rejects nan and inf
-                raise ConfigError("invalid_value", f"{parameter} values must be integers")
-            value = int(value)
         if any(value == taken for taken, _ in configs):
             raise ConfigError("invalid_value", f"{parameter} value {_fmt_value(value)} is repeated")
-        # A swept n applies to every function.
+        # A swept degree applies to every function.
+        degrees = None if field_name == "across_degree" else config.n_per_function
         candidate = replace(config, params={**config.params, field_name: value},
-                            n_per_function={} if parameter == "n" else config.n_per_function)
+                            n_per_function=degrees)
         configs.append((value, validate_config(candidate)))
     _check_workers(workers)
     _make_output_dirs(config.output_dir)
@@ -551,13 +542,10 @@ class Snapshot:
 
 def trace(config: ExperimentConfig,
           gens: Sequence[int]) -> Tuple[RunResult, List[Snapshot], List[str]]:
-    """Single seeded run (run 0 of the batch) capturing population snapshots
-    at generations ``gens`` (at least one, each >= 0; generation 0 is the
-    initial population).  Snapshots beyond the run's termination are skipped
-    with a warning."""
-    if config.algorithm != "ans":
-        raise ConfigError("invalid_value",
-                          "trace needs the superior-solution memory of the ans algorithm")
+    """Single seeded run (run 0 of the batch) capturing population snapshots at
+    generations ``gens`` (at least one, each >= 0; generation 0 is the initial
+    population); a superior is an ANS superior solution, a PSO personal best or
+    a DE population member.  Snapshots beyond termination are skipped with a warning."""
     if not gens:
         raise ConfigError("invalid_value", "trace needs at least one snapshot generation")
     if any(g < 0 for g in gens):
@@ -574,8 +562,7 @@ def trace(config: ExperimentConfig,
             snapshots.append(Snapshot(state.generation, state.positions[0].copy(),
                                       state.superiors[0].copy()))
 
-    problem, params, seeds = Job(config, config.functions[0], (0,)).inputs()
-    result = ans_run(problem, params, seeds, on_generation=capture).runs[0]
+    result = execute_job(Job(config, config.functions[0], (0,)), capture).runs[0]
 
     captured = {snap.generation for snap in snapshots}
     warnings = [f"snapshot generation {g} is beyond termination "

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ansearch import benchmarks, cli, harness
+from ansearch.baselines import PsoParams
+from ansearch.engine import AnsParams
 from ansearch.harness import (ConfigError, ExperimentConfig, compare, derive_run_seed, load_config,
                               parse_config_text, read_results_csv, recompute_summaries,
                               run_batch, sweep, trace, validate_config)
@@ -179,8 +181,12 @@ BLOCK_KEYS = {
     "pso": "swarm_size = 10\ninertia = 0.6\nc1 = 1.5\nc2 = 1.5\nv_max = 1.0\n",
     "de": "pop_size = 10\nweight = 0.6\ncrossover = 0.5\n",
 }
-FOREIGN_KEYS = [(alg, line) for alg in BLOCK_KEYS for other, block in BLOCK_KEYS.items()
+FOREIGN_KEYS = [pytest.param(alg, line, id=f"{alg}-{line.split()[0]}")
+                for alg in BLOCK_KEYS for other, block in BLOCK_KEYS.items()
                 if other != alg for line in block.splitlines()]
+# An empty n_per_function is still the key of another block: it was accepted.
+FOREIGN_KEYS += [pytest.param(alg, "n_per_function =", id=f"{alg}-n_per_function-empty")
+                 for alg in ("pso", "de")]
 
 
 def test_each_block_is_valid_for_its_own_algorithm():
@@ -194,8 +200,7 @@ def test_each_block_is_valid_for_its_own_algorithm():
             assert key == "n_per_function" or key in config.params, key
 
 
-@pytest.mark.parametrize("alg,line", FOREIGN_KEYS, ids=[f"{alg}-{line.split()[0]}"
-                                                        for alg, line in FOREIGN_KEYS])
+@pytest.mark.parametrize("alg,line", FOREIGN_KEYS)
 def test_key_of_another_algorithm_is_refused(tmp_path, capsys, alg, line):
     # A pso config that set sigma, or a de config that set population_size,
     # was accepted and the key ignored.
@@ -204,7 +209,7 @@ def test_key_of_another_algorithm_is_refused(tmp_path, capsys, alg, line):
                                   + line + "\n")
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    key = line.split(" = ")[0]
+    key = line.split("=")[0].strip()
     assert err == f"config error [invalid_value]: {key}: not a parameter of the {alg} algorithm\n"
     assert not (tmp_path / "out").exists()
 
@@ -220,10 +225,15 @@ def test_old_de_key_spellings_are_unknown(key):
 
 @pytest.mark.parametrize("params,named", [({"max_evals": 5}, "max_evals"),
                                           ({"bogus": 1}, "bogus"),
-                                          ({"sigma": "x"}, None)])
+                                          ({"sigma": "x"}, None),
+                                          ({"population_size": 5.0}, None),
+                                          ({"frozen_superiors": "no"}, None),
+                                          ({"sigma": True}, None)])
 def test_library_config_params_are_checked(tmp_path, params, named):
     # A config built in Python holds any params mapping: the budget is the
-    # config's max_evals, and a value of a wrong type raised a TypeError.
+    # config's max_evals, and a value of a wrong type raised a TypeError, or
+    # failed every run (population_size = 5.0), or ran as a truthy value
+    # ("no" for frozen_superiors, True for sigma).
     config = ExperimentConfig(functions=("f1",), dimensions=3, output_dir=str(tmp_path / "lib"),
                               params=params)
     with pytest.raises(ConfigError) as err:
@@ -231,7 +241,33 @@ def test_library_config_params_are_checked(tmp_path, params, named):
     assert err.value.code == "invalid_value"
     if named:
         assert str(err.value) == f"{named}: not a parameter of the ans algorithm"
+    else:   # refused by the type of its field
+        (key, value), = params.items()
+        assert str(err.value).startswith(f"{key}: expected ")
+        assert str(err.value).endswith(f", got {value!r}")
     assert not (tmp_path / "lib").exists()
+
+
+def test_params_fields_are_checked_against_their_types(tmp_path, capsys):
+    # numpy integers are integers, and an int is a number.
+    assert PsoParams(swarm_size=np.int64(10)).swarm_size == 10
+    assert AnsParams(sigma=1).sigma == 1
+    assert PsoParams(v_max=None).v_max is None and PsoParams(v_max=2).v_max == 2
+    with pytest.raises(ValueError, match="^v_max: expected a number or None, got 'a'$"):
+        PsoParams(v_max="a")
+    # A swept value is checked by its field's type; the sweep's own rule
+    # for m and n said "m values must be integers".
+    config = tiny_config(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        sweep(config, "m", [5.5])
+    assert err.value.code == "invalid_value"
+    assert str(err.value) == "population_size: expected an integer, got 5.5"
+    # The CLI parses --values by the key's type, so m = 5.0 is not an integer.
+    path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
+    assert cli.main(["sweep", str(path), "--param", "m", "--values", "5.0"]) == 2
+    assert capsys.readouterr().err == ("config error [invalid_value]: --values: expected an "
+                                       "integer, got '5.0'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_classes_share_no_field_but_max_evals():
@@ -282,6 +318,9 @@ def test_seed_derivation_pure_and_distinct():
         derive_run_seed(101, "ans", "f3", 7),
     }
     assert seed not in variants and len(variants) == 4
+    # The algorithm's word is its place in harness.ALGORITHMS plus one.
+    assert {alg: derive_run_seed(12345, alg, "f1", 0) for alg in harness.ALGORITHMS} == {
+        "ans": 4452639812908418939, "pso": 8664862668333624240, "de": 2634360631818402142}
 
 
 def test_rotation_seed_is_algorithm_independent():
@@ -702,15 +741,43 @@ def test_trace_superiors_converge_to_origin_by_generation_80(tmp_path):
     assert converged >= 24
 
 
-def test_trace_requires_ans_and_gens(tmp_path):
+def test_trace_requires_valid_gens(tmp_path):
     config = tiny_config(tmp_path, functions=("f7",), dimensions=2)
-    with pytest.raises(ConfigError):
-        trace(replace(config, algorithm="pso"), gens=[1])
     with pytest.raises(ConfigError):
         trace(config, gens=[])
     with pytest.raises(ConfigError) as err:
         trace(config, gens=[-1, 0])
     assert err.value.code == "invalid_value"
+
+
+# Per algorithm: a key of its own block with two values, and its population size key.
+REGISTRY_CASES = {"ans": ("sigma", [0.4, 0.6], "population_size"),
+                  "pso": ("inertia", [0.6, 0.7], "swarm_size"),
+                  "de": ("crossover", [0.5, 0.9], "pop_size")}
+
+
+@pytest.mark.parametrize("alg", harness.ALGORITHMS)
+def test_sweep_and_trace_serve_every_algorithm(tmp_path, alg):
+    # sweep and trace refused pso and de.
+    key, values, size_key = REGISTRY_CASES[alg]
+    config = tiny_config(tmp_path, algorithm=alg, runs=2, max_evals=300)
+    rows, failures = sweep(config, key, values)
+    assert failures == []
+    assert [(r.function_id, r.value) for r in rows] == [(fid, v) for fid in ("f1", "f5")
+                                                        for v in values]
+    assert read_lines(os.path.join(config.output_dir, f"sweep_{key}.csv"))[0] == \
+        f"function,{key},mean,std,nfe,sr,best"
+    # A trace is run 0 of the batch of its config, bit for bit.
+    one = replace(config, functions=("f7",), dimensions=2, output_dir=str(tmp_path / "tr"))
+    result, snapshots, warnings = trace(one, gens=[0, 2])
+    run0 = run_batch(one, write_files=False).results["f7"][0]
+    assert result.best_fitness.hex() == run0.best_fitness.hex()
+    np.testing.assert_array_equal(result.best_position, run0.best_position)
+    size = getattr(one.params_for("f7"), size_key)
+    assert warnings == [] and [snap.generation for snap in snapshots] == [0, 2]
+    for snap in snapshots:
+        assert snap.positions.shape == snap.superiors.shape == (size, 2)
+        assert len(read_lines(tmp_path / "tr" / f"trace_gen{snap.generation}.csv")) == 1 + 2 * size
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +1023,11 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
                  # A repeated value ran its batch again and wrote a second row.
                  ["sweep", str(sweep_cfg), "--param", "sigma", "--values", "0.5,0.5"],
                  ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,5.0"],
+                 ["sweep", str(sweep_cfg), "--param", "m", "--values", "5,5"],
+                 # Only a key of the config's algorithm, max_evals not among them.
+                 ["sweep", str(sweep_cfg), "--param", "max_evals", "--values", "100"],
+                 ["sweep", str(sweep_cfg), "--param", "swarm_size", "--values", "10"],
+                 ["sweep", str(sweep_cfg), "--param", "w", "--values", "0.5"],
                  ["run", str(neg_seed_cfg)],
                  ["run", str(lone_cfg)],
                  ["run", str(lone_n_cfg)]):
