@@ -57,7 +57,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     config = harness.load_config(args.config)
-    gens = harness._parse_list("--gens", args.gens, partial(harness._parse_number, kind=int))
+    gens = harness._parse_list("--gens", args.gens, partial(harness._parse_value, kind=int))
     result, snapshots, warnings = harness.trace(config, gens)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

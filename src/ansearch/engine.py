@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, List, Optional, Sequence, Tuple, Type, Union, get_args, get_type_hints
+from typing import (Callable, List, Optional, Sequence, Tuple, Type, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -35,12 +36,35 @@ from .core import RngStream, SearchBounds, ObjectiveProblem
 SUCCESS_THRESHOLD = 1e-5
 
 
-# Per hinted type, its name in an error and the values it takes: a float field
-# takes an int too, and only a bool field takes a bool.
-_KINDS = {int: ("an integer", (int, np.integer)), bool: ("true/false", bool),
-          float: ("a number", (int, float, np.integer, np.floating)),
-          type(None): ("None", type(None))}
+def _read_bool(text: str) -> bool:
+    low = text.lower()
+    if low not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(text)
+    return low in ("true", "yes", "1")
+
+
+# The one type table: per hinted type, its name in an error, the values it
+# takes (a float field takes an int too, and only a bool field takes a bool)
+# and its reader of config text, which raises ValueError on text it refuses.
+_KINDS = {int: ("an integer", (int, np.integer), int), bool: ("true/false", bool, _read_bool),
+          float: ("a number", (int, float, np.integer, np.floating), float),
+          str: ("a string", str, str), type(None): ("None", type(None), None)}
 _type_hints = cache(get_type_hints)   # resolved once per class: uncached it is slow
+
+
+def check_field_types(obj, error: Callable[[str], Exception] = ValueError) -> None:
+    """Raise ``error(message)`` unless each field of the dataclass ``obj`` holds
+    a value of its hinted type (``Optional[X]``: X or None).  A tuple or dict
+    field is skipped: its contents are checked by the code that reads them."""
+    for name, hint in _type_hints(type(obj)).items():
+        kinds = get_args(hint) if get_origin(hint) is Union else (hint,)
+        if any(get_origin(kind) in (tuple, dict) for kind in kinds):
+            continue
+        value = getattr(obj, name)
+        if not any(isinstance(value, _KINDS[k][1]) and isinstance(value, bool) == (k is bool)
+                   for k in kinds):
+            raise error(f"{name}: expected {' or '.join(_KINDS[k][0] for k in kinds)}, "
+                        f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,12 +75,7 @@ class Params:
     max_evals: int = 300_000
 
     def __post_init__(self):
-        for name, hint in _type_hints(type(self)).items():
-            value, kinds = getattr(self, name), get_args(hint) or (hint,)   # Optional[X]: X, None
-            if not any(isinstance(value, _KINDS[k][1]) and isinstance(value, bool) == (k is bool)
-                       for k in kinds):
-                raise ValueError(f"{name}: expected {' or '.join(_KINDS[k][0] for k in kinds)}, "
-                                 f"got {value!r}")
+        check_field_types(self)
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
 

@@ -15,11 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+                    get_origin)
 
 import numpy as np
 
-from . import benchmarks, stats
+from . import benchmarks, engine, stats
 from .baselines import DeParams, PsoParams, de_run, pso_run
 from .benchmarks import FUNCTION_IDS, SPECS, make_rotation_matrix, save_rotation_matrix
 from .core import BOUNDARY_POLICIES
@@ -54,7 +54,8 @@ class ExperimentConfig:
     ``master_seed``, in ``boundary_policy``'s box (``f8_narrow_range``) and
     reported in ``output_dir`` (``write_history``, ``finner_mode``).  ``params``
     holds the algorithm keys the config sets, fields of ``PARAMS[algorithm]``
-    but ``max_evals``; ``n_per_function``, if set, replaces ``across_degree`` per id."""
+    but ``max_evals``; ``n_per_function``, if set, replaces ``across_degree`` per id.
+    A config checks itself when it is built (or ``replace``d): one that exists is valid."""
 
     functions: Tuple[str, ...]
     dimensions: int
@@ -70,10 +71,59 @@ class ExperimentConfig:
     n_per_function: Optional[Dict[str, int]] = None
     params: Dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Each field's type first, then its value, else an ``invalid_value`` ConfigError."""
+        engine.check_field_types(self, partial(ConfigError, "invalid_value"))
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError("invalid_value", f"algorithm must be one of {ALGORITHMS}, "
+                                               f"got {self.algorithm!r}")
+        # Keys the algorithm reads: max_evals is the config's; n_per_function sets across_degree.
+        keys = {f.name for f in fields(PARAMS[self.algorithm])} - {"max_evals"}
+        stray = [key for key in self.params if key not in keys]
+        if self.n_per_function is not None and "across_degree" not in keys:
+            stray.append("n_per_function")
+        if stray:
+            raise ConfigError("invalid_value", f"{stray[0]}: not a parameter of the "
+                                               f"{self.algorithm} algorithm")
+        if not self.functions:
+            raise ConfigError("invalid_value", "functions: at least one function id is required")
+        for i, fid in enumerate(self.functions):
+            if fid not in SPECS:
+                raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
+            if fid in self.functions[:i]:
+                raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
+        for fid in self.n_per_function or {}:
+            if fid not in SPECS:
+                raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
+            if fid not in self.functions:   # it would never be read
+                raise ConfigError("invalid_value", f"n_per_function: function id {fid!r} "
+                                                   f"is not in functions")
+        if self.dimensions < 1:
+            raise ConfigError("invalid_value", "dimensions must be >= 1")
+        if self.runs < 1:
+            raise ConfigError("invalid_value", "runs must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("invalid_value", f"master_seed must be >= 0, got {self.master_seed}")
+        if self.boundary_policy not in BOUNDARY_POLICIES:
+            raise ConfigError("invalid_value", f"boundary_policy must be clamp or none, "
+                                               f"got {self.boundary_policy!r}")
+        if self.finner_mode not in stats.FINNER_MODES:
+            raise ConfigError("invalid_value", f"finner_mode must be one of {stats.FINNER_MODES}, "
+                                               f"got {self.finner_mode!r}")
+        for fid in self.functions:   # each with the params, so the ans degree, it runs with
+            try:
+                params = self.params_for(fid)
+            except ValueError as exc:
+                raise ConfigError("invalid_value", str(exc)) from None
+            if isinstance(params, AnsParams) and params.across_degree > self.dimensions:
+                raise ConfigError("invalid_value", f"{fid}: across_degree {params.across_degree} "
+                                                   f"exceeds dimensions {self.dimensions}")
+
     def budget(self) -> int:
+        """``max_evals``, by default the params default, doubled from D = 100 on."""
         if self.max_evals is not None:
             return self.max_evals
-        return 600_000 if self.dimensions >= 100 else 300_000
+        return engine.Params.max_evals * (2 if self.dimensions >= 100 else 1)
 
     def params_for(self, function_id: str) -> Union[AnsParams, PsoParams, DeParams]:
         """The algorithm's params for one function of this experiment."""
@@ -87,22 +137,13 @@ class ExperimentConfig:
 # Config file parsing: flat "key = value" lines, '#' comments.
 # ---------------------------------------------------------------------------
 
-def _parse_number(key, text, kind):
-    """``text`` read as ``kind`` (int or float)."""
+def _parse_value(key, text, kind):
+    """``text`` read as ``kind``, a type of the type table (``engine._KINDS``)."""
+    noun, _, read = engine._KINDS[kind]
     try:
-        return kind(text)
+        return read(text)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
         raise ConfigError("invalid_value", f"{key}: expected {noun}, got {text!r}") from None
-
-
-def _parse_bool(key, text):
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError("invalid_value", f"{key}: expected true/false, got {text!r}")
 
 
 def _parse_list(key, text, parse):
@@ -122,7 +163,7 @@ def _parse_degree_map(key, text):
         fid = fid.strip()
         if fid in mapping:   # a dict keeps only the last entry of an id
             raise ConfigError("invalid_value", f"{key}: function id {fid!r} is repeated")
-        mapping[fid] = _parse_number(key, val.strip(), int)
+        mapping[fid] = _parse_value(key, val.strip(), int)
     return mapping
 
 
@@ -133,68 +174,16 @@ def _key_parser(hint):
         hint, = (arg for arg in get_args(hint) if arg is not type(None))
     if get_origin(hint) is tuple:
         return partial(_parse_list, parse=_key_parser(get_args(hint)[0]))
-    return {int: partial(_parse_number, kind=int), float: partial(_parse_number, kind=float),
-            bool: _parse_bool, str: lambda key, text: text,
-            Dict[str, int]: _parse_degree_map}[hint]
+    return _parse_degree_map if hint == Dict[str, int] else partial(_parse_value, kind=hint)
 
 
 # A config key is a field of ExperimentConfig or of a params class: no two
 # of them share a field name but max_evals, which is the config's.
 _PARAM_HINTS = {name: hint for cls in PARAMS.values()
-                for name, hint in get_type_hints(cls).items() if name != "max_evals"}
+                for name, hint in engine._type_hints(cls).items() if name != "max_evals"}
 _KEY_PARSERS = {name: _key_parser(hint)
-                for name, hint in {**get_type_hints(ExperimentConfig), **_PARAM_HINTS}.items()
+                for name, hint in {**engine._type_hints(ExperimentConfig), **_PARAM_HINTS}.items()
                 if name != "params"}
-
-
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """``config``, or an ``invalid_value`` :class:`ConfigError`; each function
-    is checked with the params, and so the ans degree, it runs with."""
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigError("invalid_value", f"algorithm must be one of {ALGORITHMS}, "
-                                           f"got {config.algorithm!r}")
-    # Keys the algorithm reads: max_evals is the config's; n_per_function sets across_degree.
-    keys = {f.name for f in fields(PARAMS[config.algorithm])} - {"max_evals"}
-    stray = [key for key in config.params if key not in keys]
-    if config.n_per_function is not None and "across_degree" not in keys:
-        stray.append("n_per_function")
-    if stray:
-        raise ConfigError("invalid_value", f"{stray[0]}: not a parameter of the "
-                                           f"{config.algorithm} algorithm")
-    if not config.functions:
-        raise ConfigError("invalid_value", "functions: at least one function id is required")
-    for i, fid in enumerate(config.functions):
-        if fid not in SPECS:
-            raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
-        if fid in config.functions[:i]:
-            raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
-    for fid in config.n_per_function or {}:
-        if fid not in SPECS:
-            raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
-        if fid not in config.functions:   # it would never be read
-            raise ConfigError("invalid_value", f"n_per_function: function id {fid!r} "
-                                               f"is not in functions")
-    if config.dimensions < 1:
-        raise ConfigError("invalid_value", "dimensions must be >= 1")
-    if config.runs < 1:
-        raise ConfigError("invalid_value", "runs must be >= 1")
-    if config.master_seed < 0:
-        raise ConfigError("invalid_value", f"master_seed must be >= 0, got {config.master_seed}")
-    if config.boundary_policy not in BOUNDARY_POLICIES:
-        raise ConfigError("invalid_value", f"boundary_policy must be clamp or none, "
-                                           f"got {config.boundary_policy!r}")
-    if config.finner_mode not in stats.FINNER_MODES:
-        raise ConfigError("invalid_value", f"finner_mode must be one of {stats.FINNER_MODES}, "
-                                           f"got {config.finner_mode!r}")
-    for fid in config.functions:
-        try:
-            params = config.params_for(fid)
-        except ValueError as exc:
-            raise ConfigError("invalid_value", str(exc)) from None
-        if isinstance(params, AnsParams) and params.across_degree > config.dimensions:
-            raise ConfigError("invalid_value", f"{fid}: across_degree {params.across_degree} "
-                                               f"exceeds dimensions {config.dimensions}")
-    return config
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -214,7 +203,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for required in ("functions", "dimensions"):
         if required not in values:
             raise ConfigError("invalid_value", f"missing required key {required!r}")
-    return validate_config(ExperimentConfig(**values, params=params))
+    return ExperimentConfig(**values, params=params)
 
 
 def _read_text(path: Union[str, os.PathLike]) -> str:
@@ -306,11 +295,6 @@ def _safe_execute(job: Job) -> Tuple[List[Optional[RunResult]], Optional[str]]:
         return [None] * len(job.run_indices), f"{type(exc).__name__}: {exc}"
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError("invalid_value", f"workers must be >= 1, got {workers}")
-
-
 def _make_jobs(config: ExperimentConfig, chunks: int = 1) -> List[Job]:
     """One job per function and contiguous chunk of its runs.  Every run
     keeps its own seed, so the chunking changes no result."""
@@ -327,11 +311,16 @@ class BatchResult:
     failures: List[Tuple[str, int, str]]
 
 
-def _run_configs(configs: Sequence[ExperimentConfig], workers: int) -> List[BatchResult]:
+def _run_configs(configs: Sequence[ExperimentConfig], workers: int,
+                 out_dirs: Sequence[str] = ()) -> List[BatchResult]:
     """The batch of each config, in order, from one job list run through one
-    pool.  A job holds all of a function's runs; only when there are fewer
-    (config, function) pairs than workers is each cut into
-    ``ceil(workers / pairs)`` contiguous chunks, so that no worker idles."""
+    pool, after checking ``workers`` and making ``out_dirs``.  A job holds all
+    of a function's runs; only when there are fewer (config, function) pairs
+    than workers is each cut into ``ceil(workers / pairs)`` contiguous chunks,
+    so that no worker idles."""
+    if workers < 1:
+        raise ConfigError("invalid_value", f"workers must be >= 1, got {workers}")
+    _make_output_dirs(*out_dirs)
     # More workers than cores or jobs would only add idle processes.
     workers = min(workers, os.cpu_count() or 1)
     chunks = -(-workers // sum(len(cfg.functions) for cfg in configs))
@@ -370,11 +359,7 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     """One config's batch (see :func:`_run_configs`) and its report files in
     ``output_dir``, by default the config's, which is made before any run."""
     out_dir = output_dir if output_dir is not None else config.output_dir
-    validate_config(config)
-    _check_workers(workers)
-    if write_files:
-        _make_output_dirs(out_dir)
-    batch, = _run_configs([config], workers)
+    batch, = _run_configs([config], workers, [out_dir] if write_files else [])
     if write_files:
         write_batch_files(config, batch, out_dir)
     return batch
@@ -502,13 +487,10 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[object],
             raise ConfigError("invalid_value", f"{parameter} value {_fmt_value(value)} is repeated")
         # A swept degree applies to every function.
         degrees = None if field_name == "across_degree" else config.n_per_function
-        candidate = replace(config, params={**config.params, field_name: value},
-                            n_per_function=degrees)
-        configs.append((value, validate_config(candidate)))
-    _check_workers(workers)
-    _make_output_dirs(config.output_dir)
+        configs.append((value, replace(config, params={**config.params, field_name: value},
+                                       n_per_function=degrees)))
 
-    batches = _run_configs([cfg for _, cfg in configs], workers)
+    batches = _run_configs([cfg for _, cfg in configs], workers, [config.output_dir])
     per_value = [(value, batch.summaries) for (value, _), batch in zip(configs, batches)]
     failures = [(fid, idx, f"{parameter} = {_fmt_value(value)}: {msg}")
                 for (value, _), batch in zip(configs, batches) for fid, idx, msg in batch.failures]
@@ -552,7 +534,6 @@ def trace(config: ExperimentConfig,
         raise ConfigError("invalid_value", "snapshot generations must be >= 0")
     if len(config.functions) != 1:
         raise ConfigError("invalid_value", "trace expects exactly one function")
-    validate_config(config)
     _make_output_dirs(config.output_dir)
     wanted = set(gens)
     snapshots: List[Snapshot] = []
@@ -621,7 +602,6 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     if base.runs < 2:
         raise ConfigError("invalid_value", "compare needs runs >= 2 for its rank-sum tests")
     for cfg in configs:
-        validate_config(cfg)
         for fname in _PROTOCOL_FIELDS:
             if getattr(cfg, fname) != getattr(base, fname):
                 raise ConfigError("protocol_mismatch",
@@ -638,12 +618,10 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
         labels.append(label)
     if reference not in labels:
         raise ConfigError("invalid_value", f"reference {reference!r} not among {labels}")
-    _check_workers(workers)
 
     out_dir = output_dir if output_dir is not None else base.output_dir
     label_dirs = [os.path.join(out_dir, label) for label in labels]
-    _make_output_dirs(out_dir, *label_dirs)
-    batches = dict(zip(labels, _run_configs(configs, workers)))
+    batches = dict(zip(labels, _run_configs(configs, workers, [out_dir, *label_dirs])))
     for label, cfg, label_dir in zip(labels, configs, label_dirs):
         write_batch_files(cfg, batches[label], label_dir)
 

@@ -1,16 +1,17 @@
 import hashlib
 import os
 from dataclasses import fields, replace
+from typing import Union, get_args, get_origin
 
 import numpy as np
 import pytest
 
-from ansearch import benchmarks, cli, harness
+from ansearch import benchmarks, cli, engine, harness
 from ansearch.baselines import PsoParams
 from ansearch.engine import AnsParams
 from ansearch.harness import (ConfigError, ExperimentConfig, compare, derive_run_seed, load_config,
                               parse_config_text, read_results_csv, recompute_summaries,
-                              run_batch, sweep, trace, validate_config)
+                              run_batch, sweep, trace)
 
 MINIMAL = """
 algorithm = ans
@@ -37,7 +38,7 @@ def write_config(tmp_path, text, name="exp.cfg"):
 
 def tiny_config(tmp_path, **overrides):
     config = parse_config_text(TINY.format(out=tmp_path / "out"))
-    return validate_config(replace(config, **overrides)) if overrides else config
+    return replace(config, **overrides) if overrides else config
 
 
 def read_tree(root):
@@ -166,9 +167,9 @@ def test_validate_config_checks_function_ids_of_library_configs(tmp_path, overri
     # A config built in Python never meets the file parsers: an unknown id
     # used to end in a KeyError traceback or be ignored, and a repeated id
     # wrote its summary row twice.
-    config = ExperimentConfig(dimensions=3, output_dir=str(tmp_path / "lib"),
-                              **{"functions": ("f1",), **overrides})
     with pytest.raises(ConfigError) as err:
+        config = ExperimentConfig(dimensions=3, output_dir=str(tmp_path / "lib"),
+                                  **{"functions": ("f1",), **overrides})
         run_batch(config)
     assert err.value.code == "invalid_value" and str(err.value) == message
     assert not (tmp_path / "lib").exists()
@@ -234,9 +235,9 @@ def test_library_config_params_are_checked(tmp_path, params, named):
     # config's max_evals, and a value of a wrong type raised a TypeError, or
     # failed every run (population_size = 5.0), or ran as a truthy value
     # ("no" for frozen_superiors, True for sigma).
-    config = ExperimentConfig(functions=("f1",), dimensions=3, output_dir=str(tmp_path / "lib"),
-                              params=params)
     with pytest.raises(ConfigError) as err:
+        config = ExperimentConfig(functions=("f1",), dimensions=3,
+                                  output_dir=str(tmp_path / "lib"), params=params)
         run_batch(config)
     assert err.value.code == "invalid_value"
     if named:
@@ -246,6 +247,44 @@ def test_library_config_params_are_checked(tmp_path, params, named):
         assert str(err.value).startswith(f"{key}: expected ")
         assert str(err.value).endswith(f", got {value!r}")
     assert not (tmp_path / "lib").exists()
+
+
+@pytest.mark.parametrize("key,value,noun", [("master_seed", 1.5, "an integer"),
+                                            ("master_seed", True, "an integer"),
+                                            ("runs", 2.5, "an integer"),
+                                            ("dimensions", 3.0, "an integer"),
+                                            ("write_history", "no", "true/false"),
+                                            ("f8_narrow_range", "no", "true/false")])
+def test_config_fields_are_checked_against_their_types(tmp_path, key, value, noun):
+    # The config's own fields had no type check: master_seed 1.5 or True ran
+    # as 1, runs = 2.5 ran 3 runs, write_history = "no" wrote history files,
+    # and dimensions = 3.0 failed every run with a TypeError.
+    valid = ExperimentConfig(functions=("f1",), dimensions=3, runs=2, max_evals=50,
+                             output_dir=str(tmp_path / "lib"))
+    with pytest.raises(ConfigError) as built:
+        run_batch(ExperimentConfig(**{**vars(valid), key: value}))
+    with pytest.raises(ConfigError) as replaced:
+        run_batch(replace(valid, **{key: value}))
+    for err in (built, replaced):
+        assert err.value.code == "invalid_value"
+        assert str(err.value) == f"{key}: expected {noun}, got {value!r}"
+    assert not (tmp_path / "lib").exists()
+
+
+def test_config_takes_numpy_integers(tmp_path):
+    config = tiny_config(tmp_path, dimensions=np.int64(4), runs=np.int64(3),
+                         master_seed=np.int64(321))
+    assert run_batch(config).summaries == run_batch(tiny_config(tmp_path)).summaries
+
+
+def test_every_config_field_type_is_in_the_type_table():
+    # check_field_types skips only tuple and dict fields, whose contents are
+    # checked where they are read; any other type must be in the table.
+    for cls in (ExperimentConfig, *harness.PARAMS.values()):
+        for name, hint in engine._type_hints(cls).items():
+            kinds = get_args(hint) if get_origin(hint) is Union else (hint,)
+            assert all(kind in engine._KINDS or get_origin(kind) in (tuple, dict)
+                       for kind in kinds), f"{cls.__name__}.{name}: {hint}"
 
 
 def test_params_fields_are_checked_against_their_types(tmp_path, capsys):
@@ -375,7 +414,7 @@ LOCKSTEP_CASES = [
 def lockstep_config(alg, overrides):
     base = parse_config_text("functions = f6,f13\ndimensions = 3\nruns = 4\nmaster_seed = 8\n"
                              "write_history = true\n")
-    return validate_config(replace(base, algorithm=alg, **overrides))
+    return replace(base, algorithm=alg, **overrides)
 
 
 @pytest.mark.parametrize("alg,overrides", LOCKSTEP_CASES)
@@ -510,21 +549,24 @@ def test_workers_clamped_to_cores_and_jobs(tmp_path, monkeypatch):
     # cores, the request, (serial: no pool), jobs, (unknown core count: serial)
     assert RecordingPool.created == [4, 3, 6]
 
-    # A sweep and a compare each start one pool and validate each config
-    # once, without run_batch.  With at least as many (config, function)
-    # pairs as workers, each job holds all of a function's runs.
+    # A sweep and a compare each start one pool, without run_batch; a config
+    # checks itself when built, so a sweep builds one per value and a compare
+    # none.  With at least as many (config, function) pairs as workers, each
+    # job holds all of a function's runs.
     monkeypatch.setattr(RecordingPool, "created", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    jobs, validated = [], []
+    compared = [config, replace(config, algorithm="pso"), replace(config, algorithm="de")]
+    jobs, built = [], []
     execute_job = harness.execute_job
     monkeypatch.setattr(harness, "execute_job", lambda job: jobs.append(job) or execute_job(job))
-    monkeypatch.setattr(harness, "validate_config", lambda cfg: validated.append(cfg) or cfg)
+    post_init = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda cfg: built.append(cfg) or post_init(cfg))
     monkeypatch.setattr(harness, "run_batch", None)
     sweep(config, "sigma", [0.4, 0.6], workers=2)
-    compare([config, replace(config, algorithm="pso"), replace(config, algorithm="de")],
-            workers=2, output_dir=str(tmp_path / "cmp"))
+    compare(compared, workers=2, output_dir=str(tmp_path / "cmp"))
     assert RecordingPool.created == [2, 2]
-    assert len(validated) == 2 + 3
+    assert len(built) == 2
     assert len(jobs) == 2 * 2 + 3 * 2
     assert all(job.run_indices == (0, 1, 2) for job in jobs)
 
@@ -915,7 +957,7 @@ def test_batch_report_golden_digest(tmp_path):
     base = parse_config_text("functions = f1,f5,f7,f8,f13\ndimensions = 3\nruns = 2\n"
                              "master_seed = 77\nwrite_history = true\n")
     for k, (alg, overrides) in enumerate(GOLDEN_BATCH_CASES):
-        config = validate_config(replace(base, algorithm=alg, **overrides))
+        config = replace(base, algorithm=alg, **overrides)
         run_batch(config, output_dir=str(tmp_path / "batch" / f"{k}_{alg}"))
     assert tree_sha256(tmp_path / "batch") == GOLDEN_BATCH_SHA256
 
@@ -940,7 +982,7 @@ def test_all18_report_golden_digest(tmp_path):
                              "master_seed = 2026\nwrite_history = true\n")
     for dim in (12, 30):
         for alg, overrides in GOLDEN_ALL18_CASES:
-            config = validate_config(replace(base, algorithm=alg, dimensions=dim, **overrides))
+            config = replace(base, algorithm=alg, dimensions=dim, **overrides)
             run_batch(config, output_dir=str(tmp_path / "all18" / f"D{dim}_{alg}"))
     assert tree_sha256(tmp_path / "all18") == GOLDEN_ALL18_SHA256
 
