@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import ObjectiveProblem, RngStream
-from .engine import Params, PopulationState, RunBatch, draw_blocks, run_loop, sweep
+from .engine import (BEST, Params, PopulationState, RunBatch, Window, draw_blocks, run_loop,
+                     sweep)
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,21 @@ def pso_step(state: SwarmState, problem: ObjectiveProblem, params: PsoParams,
     size, dim = state.positions.shape[1:]
     r1, r2 = draw_blocks(rngs, lambda rng: (rng.uniform(0.0, 1.0, (size, dim)),
                                             rng.uniform(0.0, 1.0, (size, dim))))
+    velocities = state.velocities.copy()   # as the sweep started: a repair reads them again
 
-    def propose(i: int) -> np.ndarray:
-        x = state.positions[:, i]
-        social = np.where(np.isnan(state.best), 0.0, state.best - x)
-        v = (params.inertia * state.velocities[:, i]
-             + params.c1 * r1[i] * (state.superiors[:, i] - x)
-             + params.c2 * r2[i] * social)
+    def propose(window: Window) -> np.ndarray:
+        cells = (slice(None), window.slots)
+        x = state.positions[cells]
+        best = window.best(state.best)
+        social = np.where(np.isnan(best), 0.0, best - x)
+        v = (params.inertia * velocities[cells]
+             + params.c1 * r1[cells] * (state.superiors[cells] - x)
+             + params.c2 * r2[cells] * social)
         v.clip(-v_max, v_max, out=v)
-        state.velocities[:, i] = v
+        state.velocities[cells] = v
         return bounds.clip(x + v)
 
-    return sweep(state, problem, params.max_evals, rngs, propose)
+    return sweep(state, problem, params.max_evals, rngs, propose, BEST)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +132,17 @@ def de_step(state: PopulationState, problem: ObjectiveProblem, params: DeParams,
     """One generation of rand/1 mutation and binomial crossover with one
     forced dimension in every run; the sweep's strict-improvement memory
     update is DE's greedy selection, the superiors its population."""
-    pop, rows = state.superiors, np.arange(len(rngs))[:, None]
+    pop, runs = state.superiors, np.arange(len(rngs))
     peers, cross = draw_blocks(rngs, lambda rng: _de_draws(rng, *pop.shape[1:], params.crossover))
 
-    def propose(i: int) -> np.ndarray:
-        donors = pop[rows, peers[i]]   # (R, 3, D)
-        donor = donors[:, 0] + params.weight * (donors[:, 1] - donors[:, 2])
-        return problem.bounds.clip(np.where(cross[i], donor, pop[:, i]))
+    def propose(window: Window) -> np.ndarray:
+        cells = (slice(None), window.slots)
+        seen, slots = window.seen(pop, peers)
+        donors = seen[runs.reshape((-1,) + (1,) * (slots.ndim - 1)), slots]   # (R, [W,] 3, D)
+        donor = donors[..., 0, :] + params.weight * (donors[..., 1, :] - donors[..., 2, :])
+        return problem.bounds.clip(np.where(cross[cells], donor, pop[cells]))
 
-    return sweep(state, problem, params.max_evals, rngs, propose)
+    return sweep(state, problem, params.max_evals, rngs, propose, peers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_evaluations, predrawn
+from conftest import count_evaluations, predrawn, sequential_sweeps
 
 from ansearch import baselines
 from ansearch.baselines import (DeParams, PsoParams, SwarmState, _de_draws, _distinct_peers,
@@ -79,13 +79,18 @@ def test_pso_velocity_clamp_default_is_half_range(monkeypatch):
 
 
 def test_pso_run_monotone_deterministic_and_counted():
-    problem = make_problem("f7", 4)
-    counter = count_evaluations(problem)
     params = PsoParams(max_evals=3_000)
-    a = pso_run(problem, params, [5]).runs[0]
+    a = pso_run(make_problem("f7", 4), params, [5]).runs[0]
     fits = [f for _, f in a.history]
     assert all(y <= x for x, y in zip(fits, fits[1:]))
-    assert a.evals_used == 3_000 == counter.rows
+    # The sequential oracle evaluates each point once: the problem counts
+    # the budget there, and the windowed sweep gives the same run.
+    problem = make_problem("f7", 4)
+    counter = count_evaluations(problem)
+    with sequential_sweeps():
+        want = pso_run(problem, params, [5]).runs[0]
+    assert a.evals_used == want.evals_used == 3_000 == counter.rows
+    assert a.history == want.history and a.best_position.tobytes() == want.best_position.tobytes()
     b = pso_run(make_problem("f7", 4), params, [5]).runs[0]
     assert a.history == b.history
     # full generations consume exactly swarm_size evaluations
@@ -95,16 +100,21 @@ def test_pso_run_monotone_deterministic_and_counted():
 def test_pso_recovers_from_a_non_finite_initial_swarm():
     # The whole initial swarm evaluates to NaN, so the run has no best when
     # its first step starts; a NaN best used to make every velocity NaN and
-    # the run ended at best_fitness inf with a NaN best_position.
-    calls = []
+    # the run ended at best_fitness inf with a NaN best_position.  The
+    # objective is NaN until the initialization hands over generation 0 (its
+    # points are tried again in generation 1, where velocities are still 0).
+    initializing = [True]
 
     def evaluator(x):
-        calls.append(x)
         fit = np.sum(x * x, axis=-1)
-        return np.full_like(fit, np.nan) if len(calls) <= 30 else fit
+        return np.full_like(fit, np.nan) if initializing[0] else fit
+
+    def on_generation(state):
+        assert state.generation > 0 or np.all(state.superior_fitness == np.inf)
+        initializing[0] = False
 
     problem = ObjectiveProblem("nan_sphere", SearchBounds(-5.0, 5.0, 3), evaluator)
-    result = pso_run(problem, PsoParams(max_evals=3_000), [7]).runs[0]
+    result = pso_run(problem, PsoParams(max_evals=3_000), [7], on_generation).runs[0]
     assert np.isfinite(result.best_fitness)
     assert np.all(np.isfinite(result.best_position))
 

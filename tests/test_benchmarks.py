@@ -119,17 +119,19 @@ def test_noise_quadric_bounds_and_determinism(monkeypatch):
     # its own stream, the same whichever runs share its call.
     problem = make_problem("f6", 3)
     params = AnsParams(population_size=10, max_evals=205)
-    evaluate = PopulationState.evaluate
+    record = PopulationState.record
 
     def evaluated(seeds):
+        """Each counted evaluation's points (R, D) and fitness (R,), from
+        the sweeps' records: the tried points are the positions."""
         seen = []
 
-        def record(state, problem, x, noise=None):
-            fit = evaluate(state, problem, x, noise)
-            seen.append((x.copy(), fit))
-            return fit
+        def spy(state, fits):
+            tried = state.positions[:, :fits.shape[1]]
+            seen.extend(zip(tried.swapaxes(0, 1).copy(), fits.T.copy()))
+            record(state, fits)
 
-        monkeypatch.setattr(PopulationState, "evaluate", record)
+        monkeypatch.setattr(PopulationState, "record", spy)
         run(problem, params, seeds)
         monkeypatch.undo()
         return seen

@@ -1,12 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_evaluations, predrawn
+from conftest import count_evaluations, predrawn, sequential_sweeps
 
-from ansearch.baselines import DeParams, PsoParams, SwarmState, de_step, pso_step
+from ansearch.baselines import (DeParams, PsoParams, SwarmState, de_run, de_step, pso_run,
+                                pso_step)
 from ansearch.benchmarks import make_problem, make_rotation_matrix
 from ansearch.core import ObjectiveProblem, RngStream, SearchBounds
 from ansearch import engine
@@ -49,7 +51,7 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def ans_draws(rngs, size, dim, degree):
-    """One ANS generation's draws of every run, individual-major."""
+    """One ANS generation's draws of every run, run-major."""
     return draw_blocks(rngs, lambda rng: _ans_draws(rng, size, dim, degree))
 
 
@@ -58,9 +60,9 @@ def update_drawn(positions, superiors, self_index, params, rngs, bounds):
     draws from ``rngs``."""
     runs, size, dim = superiors.shape
     dims, peers, gauss = ans_draws(rngs, size, dim, params.across_degree)
-    borrow = borrow_indices(dims[self_index], peers[self_index], superiors.shape)
+    borrow = borrow_indices(dims[:, self_index], peers[:, self_index], superiors.shape)
     return update_position(positions, superiors, self_index, borrow,
-                           params.sigma * gauss[self_index], bounds)
+                           params.sigma * gauss[:, self_index], bounds)
 
 
 def across_dims(rngs, dim, degree):
@@ -302,21 +304,43 @@ def test_step_live_superior_reads_within_sweep(monkeypatch):
 
 
 def test_step_consumes_population_size_evaluations():
-    # Two runs: each run's sweep is one evaluation per individual, and the
-    # problem counts the points of both.
-    problem = make_problem("f7", 3)
-    counter = count_evaluations(problem)
+    # Two runs: each run's sweep is one evaluation per individual.  The
+    # sequential oracle evaluates each point once, so there the problem
+    # counts the points of both; the windowed sweep counts as many and
+    # leaves the same state.
     params = make_params(max_evals=10_000)
-    state = run_initial(problem, params, seeds=[3, 5])
-    before = counter.rows
-    step(state, problem, params, [RngStream(4), RngStream(6)])
-    assert counter.rows - before == 2 * params.population_size
-    assert 2 * state.evals_used == counter.rows
+
+    def initial_and_step():
+        problem = make_problem("f7", 3)
+        counter = count_evaluations(problem)
+        state = run_initial(problem, params, seeds=[3, 5])
+        before_evals, before_rows = state.evals_used, counter.rows
+        step(state, problem, params, [RngStream(4), RngStream(6)])
+        return state, state.evals_used - before_evals, counter.rows - before_rows, counter.rows
+
+    state, used, _, _ = initial_and_step()
+    with sequential_sweeps():
+        want, want_used, rows, total_rows = initial_and_step()
+    assert used == want_used == params.population_size
+    assert rows == 2 * params.population_size
+    assert 2 * want.evals_used == total_rows
+    assert state_bits(state) == state_bits(want)
 
 
 def run_initial(problem, params, seeds):
     return init_population(problem, PopulationState, params.population_size,
                            params.max_evals, [RngStream(seed) for seed in seeds])
+
+
+STATE_ARRAYS = ("positions", "superiors", "superior_fitness", "best", "best_fitness",
+                "evals_to_success")
+
+
+def state_bits(state):
+    """Every value of a state, as bytes, and its evaluation count."""
+    names = STATE_ARRAYS + (("velocities",) if hasattr(state, "velocities") else ())
+    return {"evals_used": state.evals_used,
+            **{name: np.ascontiguousarray(getattr(state, name)).tobytes() for name in names}}
 
 
 def test_step_global_best_monotone_and_consistent():
@@ -345,16 +369,24 @@ def test_step_superior_fitness_never_increases():
 
 
 def test_step_stops_cleanly_on_budget():
-    problem = make_problem("f1", 3)
-    counter = count_evaluations(problem)
     params = make_params(max_evals=50)  # 20 init + 20 + 10: second sweep is partial
-    state = run_initial(problem, params, seeds=[2, 4])
-    rngs = [RngStream(3), RngStream(5)]
-    step(state, problem, params, rngs)
-    assert state.evals_used == 40
-    step(state, problem, params, rngs)
-    assert state.evals_used == 50
-    assert counter.rows == 2 * 50
+
+    def two_steps():
+        problem = make_problem("f1", 3)
+        counter = count_evaluations(problem)
+        state = run_initial(problem, params, seeds=[2, 4])
+        rngs = [RngStream(3), RngStream(5)]
+        step(state, problem, params, rngs)
+        assert state.evals_used == 40
+        step(state, problem, params, rngs)
+        assert state.evals_used == 50
+        return state, counter.rows
+
+    state, _ = two_steps()
+    with sequential_sweeps():   # evaluates each point once
+        want, rows = two_steps()
+    assert rows == 2 * 50
+    assert state_bits(state) == state_bits(want)
 
 
 def test_improvement_liveness_on_sphere():
@@ -459,17 +491,22 @@ def test_run_success_bookkeeping_matches_threshold():
 # NaN fitness: never adopted by any memory
 # ---------------------------------------------------------------------------
 
-def sphere_with_nans(nan_calls, dim=3):
-    """A sphere whose evaluation calls numbered in ``nan_calls`` (from 1)
-    return NaN for every row; ``None`` makes every call NaN."""
-    calls = []
-
+def sphere_with_nans(nan_points, dim=3):
+    """A sphere that is NaN at the points ``nan_points`` (rows); ``None``
+    makes it NaN everywhere."""
     def evaluator(x):
-        calls.append(x)
         fit = np.sum(x * x, axis=-1)
-        return np.full_like(fit, np.nan) if nan_calls is None or len(calls) in nan_calls else fit
+        if nan_points is None:
+            return np.full_like(fit, np.nan)
+        return np.where((x[..., None, :] == nan_points).all(axis=-1).any(axis=-1), np.nan, fit)
 
     return ObjectiveProblem("nan_sphere", SearchBounds(-5.0, 5.0, dim), evaluator)
+
+
+def initial_point(seed, size, index, dim=3):
+    """Individual ``index``'s initial point in a run of ``seed`` on the box
+    of ``sphere_with_nans``, as one row."""
+    return RngStream(seed).uniform(-5.0, 5.0, (size, dim))[[index]]
 
 
 def watch_superiors(problem, params, size, state_cls, step_fn, seeds=(7,)):
@@ -485,7 +522,8 @@ def test_nan_first_evaluation_does_not_pin_the_best():
     # This run's first evaluation used to become its best: best_fitness and
     # every history entry were NaN for all 200 evaluations.
     params = make_params(population_size=5, max_evals=200)
-    batch, seen = watch_superiors(sphere_with_nans({1}), params, 5, PopulationState, step)
+    batch, seen = watch_superiors(sphere_with_nans(initial_point(7, 5, 0)), params, 5,
+                                  PopulationState, step)
     result = batch.runs[0]
     assert np.isfinite(result.best_fitness)
     assert all(np.isfinite(fit) for _, fit in result.history)
@@ -497,7 +535,8 @@ def test_nan_first_evaluation_does_not_pin_the_best():
 def test_nan_initial_evaluation_does_not_pin_a_superior():
     # Individual 1's superior fitness used to stay NaN for the whole run.
     params = make_params(population_size=5, max_evals=2_000)
-    _, seen = watch_superiors(sphere_with_nans({2}), params, 5, PopulationState, step)
+    _, seen = watch_superiors(sphere_with_nans(initial_point(7, 5, 1)), params, 5,
+                              PopulationState, step)
     assert seen[0][0, 1] == np.inf
     assert np.all(np.isfinite(seen[-1]))
 
@@ -614,10 +653,12 @@ def test_f6_step_noise_matches_per_evaluation_draws(alg):
     oracle_rngs = [RngStream((61, r)) for r in range(3)]
     oracle = per_evaluation_noise(problem, oracle_rngs)
     state = init_population(problem, state_cls, size, params.max_evals, rngs)
-    want = init_population(oracle, state_cls, size, params.max_evals, oracle_rngs)
     for _ in range(2):
         step_fn(state, problem, params, rngs)
-        step_fn(want, oracle, params, oracle_rngs)
+    with sequential_sweeps():   # one evaluation call per individual
+        want = init_population(oracle, state_cls, size, params.max_evals, oracle_rngs)
+        for _ in range(2):
+            step_fn(want, oracle, params, oracle_rngs)
 
     assert state.evals_used == want.evals_used == params.max_evals
     for name in ("positions", "superiors", "superior_fitness", "best", "best_fitness",
@@ -625,3 +666,83 @@ def test_f6_step_noise_matches_per_evaluation_draws(alg):
         assert bits(getattr(state, name)) == bits(getattr(want, name)), name
     for rng, oracle_rng in zip(rngs, oracle_rngs):
         assert rng.generator.bit_generator.state == oracle_rng.generator.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The windowed sweep equals the one-by-one oracle
+# ---------------------------------------------------------------------------
+
+def stepped_nan_sphere(dim, boundary):
+    """A sphere in steps of 1e-5, so that ties are common and a point near 0
+    succeeds, and NaN wherever the first coordinate exceeds 2.5."""
+    def function(x):
+        return np.where(x[..., 0] > 2.5, np.nan, 1e-5 * np.floor(np.mean(x * x, axis=-1)))
+
+    return ObjectiveProblem("stepped_nan_sphere", SearchBounds(-5.0, 5.0, dim, boundary),
+                            function)
+
+
+def generations_seen(run_fn, problem, params, seeds):
+    """Every state a batch passes through, as bytes, and its results."""
+    seen = []
+    batch = run_fn(problem, params, seeds, lambda state: seen.append(state_bits(state)))
+    return seen, [(r.best_fitness, r.best_position.tobytes(), r.evals_to_success, r.history,
+                   r.evals_used, r.generations) for r in batch.runs]
+
+
+@given(alg=st.sampled_from(["ans", "pso", "de"]),
+       fid=st.sampled_from(["f1", "f6", "f13", "nan"]),
+       dim=st.integers(1, 6), size=st.integers(4, 12), degree=st.integers(0, 6),
+       runs=st.integers(1, 3), generations=st.integers(0, 3), extra=st.integers(0, 11),
+       frozen=st.booleans(), boundary=st.sampled_from(["clamp", "none"]),
+       width=st.sampled_from([1, 2, 7, 64]), seed=st.integers(0, 2**32 - 1))
+def test_sweep_matches_sequential_oracle(alg, fid, dim, size, degree, runs, generations, extra,
+                                         frozen, boundary, width, seed):
+    # Every state of the batch, generation 0 included, bit for bit, with the
+    # budget ending mid-generation unless extra % size is 0 and windows of
+    # 1, 2, 7 or all of the slots.  f6 is noisy and f13 rotated.
+    if fid == "nan":
+        problem = stepped_nan_sphere(dim, boundary)
+    else:
+        rotation = make_rotation_matrix(dim, seed) if fid == "f13" else None
+        problem = make_problem(fid, dim, rotation=rotation, boundary=boundary)
+    budget = size * (1 + generations) + extra % size
+    params, run_fn = {
+        "ans": (make_params(population_size=size, across_degree=min(degree, dim),
+                            frozen_superiors=frozen, max_evals=budget), run),
+        "pso": (PsoParams(swarm_size=size, max_evals=budget), pso_run),
+        "de": (DeParams(pop_size=size, max_evals=budget), de_run),
+    }[alg]
+    seeds = [(seed, r) for r in range(runs)]
+    saved = engine._ROWS_PER_CALL
+    engine._ROWS_PER_CALL = width * runs
+    try:
+        got = generations_seen(run_fn, problem, params, seeds)
+    finally:
+        engine._ROWS_PER_CALL = saved
+    with sequential_sweeps():
+        want = generations_seen(run_fn, problem, params, seeds)
+    assert got == want
+
+
+@pytest.mark.parametrize("alg", ["ans", "pso", "de"])
+@pytest.mark.parametrize("runs", [1, 2, 5, 41])
+def test_objective_calls_stay_within_the_row_bound(alg, runs):
+    # A window holds max(1, _ROWS_PER_CALL // R) slots of the R runs, and a
+    # repair evaluates fewer: the rows of a call, so the memory a sweep
+    # takes, stay bounded however many slots a window could hold.
+    problem = make_problem("f1", 3)
+    rows = []
+    function = problem.function
+
+    def counted(x):
+        rows.append(math.prod(x.shape[:-1]))
+        return function(x)
+
+    problem.function = counted
+    params, run_fn = {"ans": (make_params(population_size=50, max_evals=160), run),
+                      "pso": (PsoParams(swarm_size=50, max_evals=160), pso_run),
+                      "de": (DeParams(pop_size=50, max_evals=160), de_run)}[alg]
+    run_fn(problem, params, list(range(runs)))
+    assert max(rows) == runs * max(1, engine._ROWS_PER_CALL // runs)
+    assert max(rows) <= max(runs, engine._ROWS_PER_CALL)

@@ -254,11 +254,16 @@ def test_library_config_params_are_checked(tmp_path, params, named):
                                             ("runs", 2.5, "an integer"),
                                             ("dimensions", 3.0, "an integer"),
                                             ("write_history", "no", "true/false"),
-                                            ("f8_narrow_range", "no", "true/false")])
+                                            ("f8_narrow_range", "no", "true/false"),
+                                            ("functions", ["f1"], "a tuple"),
+                                            ("functions", "f1", "a tuple"),
+                                            ("params", None, "a dict")])
 def test_config_fields_are_checked_against_their_types(tmp_path, key, value, noun):
     # The config's own fields had no type check: master_seed 1.5 or True ran
     # as 1, runs = 2.5 ran 3 runs, write_history = "no" wrote history files,
-    # and dimensions = 3.0 failed every run with a TypeError.
+    # and dimensions = 3.0 failed every run with a TypeError.  A list of ids
+    # was taken, then failed compare against a tuple of them (protocol_mismatch),
+    # the ids of a string were its letters, and params None was a TypeError.
     valid = ExperimentConfig(functions=("f1",), dimensions=3, runs=2, max_evals=50,
                              output_dir=str(tmp_path / "lib"))
     with pytest.raises(ConfigError) as built:
@@ -278,12 +283,12 @@ def test_config_takes_numpy_integers(tmp_path):
 
 
 def test_every_config_field_type_is_in_the_type_table():
-    # check_field_types skips only tuple and dict fields, whose contents are
-    # checked where they are read; any other type must be in the table.
+    # check_field_types checks a tuple or dict field's type, not its contents,
+    # which are checked where they are read; every type must be in the table.
     for cls in (ExperimentConfig, *harness.PARAMS.values()):
         for name, hint in engine._type_hints(cls).items():
             kinds = get_args(hint) if get_origin(hint) is Union else (hint,)
-            assert all(kind in engine._KINDS or get_origin(kind) in (tuple, dict)
+            assert all((get_origin(kind) or kind) in engine._KINDS
                        for kind in kinds), f"{cls.__name__}.{name}: {hint}"
 
 
