@@ -98,12 +98,12 @@ def cmd_compare(args) -> int:
 
 def cmd_stats(args) -> int:
     found = harness.recompute_summaries(args.results_dir)
-    if not found:
+    if not any(found.values()):
         print(f"no completed runs in the raw results files of {args.results_dir}",
               file=sys.stderr)
         return 1
-    for alg, by_fid in sorted(found.items()):
-        _print_summaries(alg, by_fid)
+    for key, summaries in found.items():   # an algorithm, or a compare label
+        _print_summaries(key, summaries)
     return 0
 
 

@@ -49,10 +49,10 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: ``runs`` runs of ``algorithm`` per id in ``functions``
-    at ``dimensions``, ``budget()`` evaluations each, seeded from
-    ``master_seed``, in ``boundary_policy``'s box (``f8_narrow_range``) and
-    reported in ``output_dir`` (``write_history``, ``finner_mode``).  ``params``
+    """One experiment: ``runs`` runs of ``algorithm`` per id in ``functions`` (a
+    set, kept in function-number order) at ``dimensions``, ``budget()`` evaluations
+    each, seeded from ``master_seed``, in ``boundary_policy``'s box (``f8_narrow_range``)
+    and reported in ``output_dir`` (``write_history``, ``finner_mode``).  ``params``
     holds the algorithm keys the config sets, fields of ``PARAMS[algorithm]``
     but ``max_evals``; ``n_per_function``, if set, replaces ``across_degree`` per id.
     A config checks itself when it is built (or ``replace``d): one that exists is valid."""
@@ -92,6 +92,7 @@ class ExperimentConfig:
                 raise ConfigError("invalid_value", f"functions: unknown function id {fid!r}")
             if fid in self.functions[:i]:
                 raise ConfigError("invalid_value", f"functions: function id {fid!r} is repeated")
+        object.__setattr__(self, "functions", tuple(sorted(self.functions, key=_FUNC_NUMBER.get)))
         for fid in self.n_per_function or {}:
             if fid not in SPECS:
                 raise ConfigError("invalid_value", f"n_per_function: unknown function id {fid!r}")
@@ -344,12 +345,9 @@ def _run_configs(configs: Sequence[ExperimentConfig], workers: int,
             results[job.function_id] += runs
             if err is not None:
                 failures += [(job.function_id, idx, err) for idx in job.run_indices]
-        summaries: Dict[str, stats.FunctionSummary] = {}
-        for fid, rows in results.items():
-            done = [r for r in rows if r is not None]
-            if done:
-                summaries[fid] = stats.summarize([r.best_fitness for r in done],
-                                                 [r.evals_to_success for r in done])
+        summaries = _summaries({fid: [(r.best_fitness, r.evals_to_success)
+                                      for r in rows if r is not None]
+                                for fid, rows in results.items()})
         batches.append(BatchResult(config.algorithm, results, summaries, failures))
     return batches
 
@@ -385,6 +383,7 @@ def _fmt_value(value) -> str:
 
 
 _RESULTS_HEADER = "run_index,seed,final_fitness,evals_to_success,evals_used"
+_Runs = List[Tuple[float, Optional[int]]]   # (final fitness, evals to success) per completed run
 
 
 def _make_output_dirs(*paths: str) -> None:
@@ -409,16 +408,22 @@ def results_file(out_dir: str, algorithm: str, function_id: str) -> str:
     return os.path.join(out_dir, f"results_{algorithm}_{function_id}.csv")
 
 
+def _summaries(runs: Dict[str, _Runs]) -> Dict[str, stats.FunctionSummary]:
+    """Each function's summary of its completed runs; a function with none has no summary."""
+    return {fid: stats.summarize(*zip(*pairs)) for fid, pairs in runs.items() if pairs}
+
+
 def _write_summary(out_dir: str, algorithm: str,
-                   rows: Sequence[Tuple[str, stats.FunctionSummary]]) -> None:
-    lines = []
-    for fid, s in rows:
-        lines.append(f"{fid},{_fmt_summary(s)},{s.rank}")
-    _write_table(os.path.join(out_dir, f"summary_{algorithm}.csv"),
-                 "function,mean,std,nfe,sr,rank", lines)
+                   summaries: Dict[str, stats.FunctionSummary]) -> None:
+    _write_table(os.path.join(out_dir, f"summary_{algorithm}.csv"), "function,mean,std,nfe,sr,rank",
+                 [f"{fid},{_fmt_summary(s)},{s.rank}" for fid, s in summaries.items()])
 
 
 def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str) -> None:
+    """The batch's report files in ``out_dir``, in place of its algorithm's earlier rows there."""
+    for name in os.listdir(out_dir):
+        if name.startswith((f"results_{batch.algorithm}_", f"history_{batch.algorithm}_")):
+            os.remove(os.path.join(out_dir, name))
     for fid in config.functions:
         rotation = _rotation(config, fid)
         if rotation is not None:
@@ -431,15 +436,11 @@ def write_batch_files(config: ExperimentConfig, batch: BatchResult, out_dir: str
             nfe = "" if res.evals_to_success is None else str(res.evals_to_success)
             lines.append(f"{idx},{res.seed},{res.best_fitness!r},{nfe},{res.evals_used}")
             if config.write_history:
-                history = []
-                for evals, fit in res.history:
-                    history.append(f"{evals},{fit!r}")
                 _write_table(os.path.join(out_dir, f"history_{batch.algorithm}_{fid}_run{idx}.csv"),
-                             "evals_used,global_best_fitness", history)
+                             "evals_used,global_best_fitness",
+                             [f"{evals},{fit!r}" for evals, fit in res.history])
         _write_table(results_file(out_dir, batch.algorithm, fid), _RESULTS_HEADER, lines)
-    _write_summary(out_dir, batch.algorithm, [(fid, batch.summaries[fid])
-                                                  for fid in config.functions
-                                                  if fid in batch.summaries])
+    _write_summary(out_dir, batch.algorithm, batch.summaries)
     _write_failures(out_dir, batch.failures)
 
 
@@ -501,12 +502,10 @@ def sweep(config: ExperimentConfig, parameter: str, values: Sequence[object],
         best_mean = min((s.mean for _, s in done), default=None)
         rows += [SweepRow(fid, value, s, best=(s.mean == best_mean)) for value, s in done]
 
-    lines = []
-    for row in rows:
-        lines.append(f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
-                     f"{int(row.best)}")
     _write_table(os.path.join(config.output_dir, f"sweep_{parameter}.csv"),
-                 f"function,{parameter},mean,std,nfe,sr,best", lines)
+                 f"function,{parameter},mean,std,nfe,sr,best",
+                 [f"{row.function_id},{_fmt_value(row.value)},{_fmt_summary(row.summary)},"
+                  f"{int(row.best)}" for row in rows])
     _write_failures(config.output_dir, failures)
     return rows, failures
 
@@ -631,17 +630,18 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
     function_ids = [fid for fid in base.functions
                     if all(len(finals[lab][fid]) >= 2 for lab in labels)]
     failures = {lab: batches[lab].failures for lab in labels}
-    if not function_ids:   # nothing to compare: no statistics
+    if not function_ids:   # nothing to compare: no statistics, and no earlier comparison files
+        for name in set(os.listdir(out_dir)) & {"comparison.csv", "ranks.csv", "verdicts.csv",
+                                                "posthoc.csv"}:
+            os.remove(os.path.join(out_dir, name))
         return ComparisonReport(labels, reference, [], {}, {}, {}, {}, {}, {}, {}, failures)
 
     # Per-function ranks across algorithms (ties share the smallest rank).
     summaries: Dict[str, Dict[str, stats.FunctionSummary]] = {lab: {} for lab in labels}
     for fid in function_ids:
-        means = [batches[lab].summaries[fid].mean for lab in labels]
-        ranks = stats.rank_algorithms(means)
+        ranks = stats.rank_algorithms([batches[lab].summaries[fid].mean for lab in labels])
         for lab, rank in zip(labels, ranks):
-            base_summary = batches[lab].summaries[fid]
-            summaries[lab][fid] = replace(base_summary, rank=rank)
+            summaries[lab][fid] = replace(batches[lab].summaries[fid], rank=rank)
 
     peers = [lab for lab in labels if lab != reference]
     verdicts: Dict[str, Dict[str, stats.PairwiseVerdict]] = {}
@@ -659,13 +659,12 @@ def compare(configs: Sequence[ExperimentConfig], reference: str = "ans",
                  for fid in function_ids]
         signed_p[peer] = stats.wilcoxon_signed_rank(diffs)
 
-    adjusted = stats.finner_adjust([signed_p[p] for p in peers], base.finner_mode) if peers else []
-    adjusted_p = {peer: apv for peer, apv in zip(peers, adjusted)}
+    adjusted_p = dict(zip(peers, stats.finner_adjust([signed_p[p] for p in peers],
+                                                     base.finner_mode) if peers else []))
 
     mean_rank = {lab: float(np.mean([summaries[lab][fid].rank for fid in function_ids]))
                  for lab in labels}
-    overall = stats.rank_algorithms([mean_rank[lab] for lab in labels])
-    overall_rank = {lab: rank for lab, rank in zip(labels, overall)}
+    overall_rank = dict(zip(labels, stats.rank_algorithms([mean_rank[lab] for lab in labels])))
 
     report = ComparisonReport(labels=labels, reference=reference, function_ids=function_ids,
                               summaries=summaries, verdicts=verdicts, tallies=tallies,
@@ -749,28 +748,34 @@ def read_results_csv(path: str) -> List[Tuple[int, int, float, Optional[int], in
     return list(rows.values())
 
 
+def _read_results(results_dir: str) -> Dict[str, Dict[str, _Runs]]:
+    """Each algorithm's completed runs per function, as :func:`_summaries` takes
+    them, from the raw results files in a directory, in function-number order."""
+    names, runs = set(os.listdir(results_dir)), {}
+    for alg in ALGORITHMS:
+        for fid in FUNCTION_IDS:
+            if f"results_{alg}_{fid}.csv" in names:
+                rows = read_results_csv(results_file(results_dir, alg, fid))
+                runs.setdefault(alg, {})[fid] = [(fit, nfe) for _, _, fit, nfe, _ in rows]
+    return runs
+
+
 def recompute_summaries(results_dir: str) -> Dict[str, Dict[str, stats.FunctionSummary]]:
-    """Rebuild per-function summaries from the raw results CSVs in a
-    directory, keyed by algorithm then function (in function-number order);
-    rewrites the summary files."""
+    """Rebuild the summary files, as ``run`` and ``compare`` write them, from the
+    raw results files in a directory and in each of its immediate subdirectories
+    (a compare's label directories).  Returns the summaries by algorithm for the
+    directory's own files and by label for a subdirectory's (``label/algorithm``
+    where a label alone would be ambiguous)."""
     try:
-        names = sorted(os.listdir(results_dir))
+        subdirs = [""] + sorted(name for name in os.listdir(results_dir)
+                                if os.path.isdir(os.path.join(results_dir, name)))
+        read = [(sub, _read_results(os.path.join(results_dir, sub))) for sub in subdirs]
     except OSError as exc:
         raise ConfigError("missing_file", f"cannot read results directory: {exc}") from None
     found: Dict[str, Dict[str, stats.FunctionSummary]] = {}
-    for name in names:
-        if not (name.startswith("results_") and name.endswith(".csv")):
-            continue
-        stem = name[len("results_"):-len(".csv")]
-        alg, _, fid = stem.partition("_")
-        if alg not in ALGORITHMS or fid not in SPECS:
-            continue
-        rows = read_results_csv(os.path.join(results_dir, name))
-        if not rows:
-            continue   # every run failed; the batch wrote no summary row either
-        summary = stats.summarize([r[2] for r in rows], [r[3] for r in rows])
-        found.setdefault(alg, {})[fid] = summary
-    for alg, by_fid in found.items():
-        found[alg] = {fid: by_fid[fid] for fid in sorted(by_fid, key=_FUNC_NUMBER.get)}
-        _write_summary(results_dir, alg, list(found[alg].items()))
+    for sub, runs in read:   # every file is read before any is written
+        for alg, by_fid in runs.items():
+            key = alg if not sub else sub if len(runs) == 1 and sub not in found else f"{sub}/{alg}"
+            found[key] = _summaries(by_fid)
+            _write_summary(os.path.join(results_dir, sub), alg, found[key])
     return found

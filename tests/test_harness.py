@@ -175,6 +175,16 @@ def test_validate_config_checks_function_ids_of_library_configs(tmp_path, overri
     assert not (tmp_path / "lib").exists()
 
 
+def test_config_keeps_functions_in_number_order():
+    # A function list is a set: every job, report and printout lists it in
+    # one order, so stats, which reads it back from file names, rebuilds the same rows.
+    config = ExperimentConfig(functions=("f7", "f1"), dimensions=3)
+    assert config.functions == ("f1", "f7")
+    assert replace(config, functions=("f13", "f2", "f10")).functions == ("f2", "f10", "f13")
+    assert parse_config_text("functions = f10,f2,f1\ndimensions = 3\n").functions == (
+        "f1", "f2", "f10")
+
+
 # Each algorithm's block of keys, one valid setting a line.
 BLOCK_KEYS = {
     "ans": "population_size = 10\nacross_degree = 2\nsigma = 0.4\nfrozen_superiors = true\n"
@@ -666,15 +676,43 @@ def test_recompute_summaries_skips_functions_whose_runs_all_failed(tmp_path, mon
 
 
 def test_recompute_summaries_round_trip(tmp_path):
-    config = tiny_config(tmp_path)
+    # f5,f1 is out of number order: its summary rows used to come back swapped.
+    for functions in (("f1", "f5"), ("f5", "f1")):
+        config = tiny_config(tmp_path, functions=functions,
+                             output_dir=str(tmp_path / "_".join(functions)))
+        run_batch(config)
+        out = config.output_dir
+        with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+            original = fh.read()
+        found = recompute_summaries(out)
+        assert list(found["ans"]) == ["f1", "f5"]
+        with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
+            assert fh.read() == original
+
+
+def test_rerun_into_a_directory_leaves_only_its_own_rows(tmp_path):
+    # A second run of fewer functions and runs used to leave the first
+    # run's results_ans_f7.csv and its history files behind, and stats then
+    # put f7 back into the summary.
+    first = tiny_config(tmp_path, functions=("f1", "f7"), write_history=True)
+    second = replace(first, functions=("f1",), runs=2)
+    run_batch(first)
+    run_batch(second)
+    run_batch(second, output_dir=str(tmp_path / "fresh"))
+    assert read_tree(first.output_dir) == read_tree(tmp_path / "fresh")
+    assert cli.main(["stats", first.output_dir]) == 0
+    assert read_tree(first.output_dir) == read_tree(tmp_path / "fresh")
+
+
+def test_rerun_keeps_another_algorithms_rows(tmp_path):
+    config = tiny_config(tmp_path, functions=("f13",), dimensions=3, runs=2, max_evals=100)
     run_batch(config)
-    out = config.output_dir
-    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
-        original = fh.read()
-    found = recompute_summaries(out)
-    assert set(found["ans"]) == {"f1", "f5"}
-    with open(os.path.join(out, "summary_ans.csv"), "rb") as fh:
-        assert fh.read() == original
+    run_batch(replace(config, algorithm="pso"))
+    run_batch(replace(config, runs=3))
+    names = sorted(os.listdir(config.output_dir))
+    assert names == ["results_ans_f13.csv", "results_pso_f13.csv", "rotation_f13_D3.txt",
+                     "summary_ans.csv", "summary_pso.csv"]
+    assert len(read_results_csv(os.path.join(config.output_dir, "results_pso_f13.csv"))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +938,32 @@ def test_compare_rejects_protocol_mismatch(tmp_path):
     assert not os.path.exists(config.output_dir)
 
 
+def test_compare_accepts_function_lists_in_different_orders(tmp_path):
+    ans = tiny_config(tmp_path, functions=("f5", "f1"), max_evals=100, runs=2)
+    pso = replace(ans, algorithm="pso", functions=("f1", "f5"))
+    report = compare([ans, pso], output_dir=str(tmp_path / "cmp"))
+    assert report.function_ids == ["f1", "f5"]
+
+
+def test_compare_without_a_comparable_function_removes_old_comparison_files(tmp_path,
+                                                                           monkeypatch):
+    config = tiny_config(tmp_path, functions=("f1",), max_evals=100, runs=2)
+    configs = [config, replace(config, algorithm="pso")]
+    out = tmp_path / "cmp"
+    compare(configs, output_dir=str(out))
+    assert (out / "comparison.csv").exists()
+
+    def boom(x):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setitem(benchmarks.SPECS, "f1", replace(benchmarks.SPECS["f1"], function=boom))
+    report = compare(configs, output_dir=str(out))
+    assert report.function_ids == [] and len(report.failures["ans"]) == 2
+    assert sorted(os.listdir(out)) == ["ans", "pso"]
+    assert sorted(os.listdir(out / "ans")) == ["failures.csv", "results_ans_f1.csv",
+                                               "summary_ans.csv"]
+
+
 def test_compare_shares_rotation_across_algorithms(tmp_path):
     ans_config = tiny_config(tmp_path, functions=("f13",), dimensions=3,
                              max_evals=300, runs=2)
@@ -1039,6 +1103,52 @@ def test_cli_stats_prints_functions_in_number_order(tmp_path, capsys):
     assert cli.main(["stats", str(out)]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["f1", "f2", "f10"]
+
+
+STATS_ORDER_CONFIG = """\
+algorithm = {alg}
+functions = f7,f1,f13
+dimensions = 3
+runs = 3
+max_evals = 150
+master_seed = 5
+output_dir = {out}
+"""
+
+
+def test_cli_stats_rebuilds_run_and_compare_trees_byte_for_byte(tmp_path, capsys):
+    # stats used to reorder a run's summary rows to function-number order,
+    # and to exit 1 on a compare directory, whose results sit in its label
+    # directories.
+    paths = [write_config(tmp_path, STATS_ORDER_CONFIG.format(alg=alg, out=tmp_path / "run"),
+                          f"{alg}.cfg") for alg in harness.ALGORITHMS]
+    assert cli.main(["run", str(paths[0])]) == 0
+    assert cli.main(["compare", *map(str, paths), "--output-dir", str(tmp_path / "cmp")]) == 0
+    for name in ("run", "cmp"):
+        before = read_tree(tmp_path / name)
+        capsys.readouterr()
+        assert cli.main(["stats", str(tmp_path / name)]) == 0
+        assert read_tree(tmp_path / name) == before
+    lines = capsys.readouterr().out.splitlines()   # the compare's labels, each with its rows
+    assert [line for line in lines if line.startswith("algorithm:")] == [
+        "algorithm: ans", "algorithm: de", "algorithm: pso"]
+    assert [line.split()[0] for line in lines if line[1:2].isdigit()] == ["f1", "f7", "f13"] * 3
+    (tmp_path / "cmp" / "de" / "summary_de.csv").unlink()
+    assert cli.main(["stats", str(tmp_path / "cmp")]) == 0
+    assert read_tree(tmp_path / "cmp") == before
+
+
+def test_recompute_summaries_keys_label_directories(tmp_path):
+    # A subdirectory's summaries are keyed by its name, as a compare's label
+    # directories are, or by name and algorithm where the name alone is ambiguous.
+    config = tiny_config(tmp_path, functions=("f1",), max_evals=100, runs=2)
+    pso = replace(config, algorithm="pso")
+    for cfg, sub in ((config, ""), (pso, ""), (config, "ans"), (config, "ans2"),
+                     (pso, "both"), (config, "both")):
+        run_batch(cfg, output_dir=os.path.join(config.output_dir, sub))
+    found = recompute_summaries(config.output_dir)
+    assert list(found) == ["ans", "pso", "ans/ans", "ans2", "both/ans", "both/pso"]
+    assert all(list(by_fid) == ["f1"] for by_fid in found.values())
 
 
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
