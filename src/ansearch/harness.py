@@ -11,7 +11,6 @@ byte-stable output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args,
@@ -331,6 +330,7 @@ def _run_configs(configs: Sequence[ExperimentConfig], workers: int,
     if workers <= 1:
         outcomes = iter([_safe_execute(job) for job in jobs])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = iter(list(pool.map(_safe_execute, jobs)))
 

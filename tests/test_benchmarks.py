@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,9 +103,46 @@ def test_griewank_matches_direct_formula():
 
 
 def test_penalty_u_cases():
-    assert _penalty_sum(np.array([5.0]), 10.0, 100.0, 4.0) == 0.0
-    assert _penalty_sum(np.array([11.0]), 10.0, 100.0, 4.0) == 100.0
-    assert _penalty_sum(np.array([-12.0]), 10.0, 100.0, 4.0) == 1600.0
+    assert _penalty_sum(np.array([5.0]), 10.0, 100.0) == 0.0
+    assert _penalty_sum(np.array([11.0]), 10.0, 100.0) == 100.0
+    assert _penalty_sum(np.array([-12.0]), 10.0, 100.0) == 1600.0
+
+
+def penalty_oracle(row, a, k):
+    """k * sum of (|x_d| - a)^4 over the coordinates outside [-a, a], one
+    coordinate at a time, summed exactly."""
+    terms = [(abs(v) - a) ** 4 for v in row if abs(v) > a]
+    return k * math.fsum(terms) if all(map(math.isfinite, terms)) else math.inf
+
+
+@pytest.mark.parametrize("a", [10.0, 5.0])
+def test_penalty_matches_coordinate_oracle(a):
+    rng = np.random.default_rng(41)
+    rows = rng.uniform(-50.0, 50.0, (6, 3, 30))      # outside on both sides
+    rows[0] = rng.uniform(-a, a, (3, 30))             # every coordinate inside
+    rows[1, :, ::2] = a                               # exactly on the box ...
+    rows[1, :, 1::2] = -a                             # ... on both sides
+    rows[2, 0, 4] = np.inf
+    rows[2, 1, 7] = -np.inf
+    strided = rows[:, ::2]                            # (6, 2, 30) of a (6, 3, 30)
+    for x in (rows, strided, strided[:, 1], rows[3, 2]):
+        got = _penalty_sum(x, a, 100.0)
+        assert got.shape == x.shape[:-1]
+        flat_x, flat_got = x.reshape(-1, 30), np.reshape(got, -1)
+        for row, value in zip(flat_x, flat_got):
+            want = penalty_oracle(row, a, 100.0)
+            if math.isinf(want) or want == 0.0:
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("fid", ["f11", "f12"])
+def test_penalized_nan_row_is_nan(fid):
+    x = np.ones((3, 12))
+    x[1, 5] = np.nan
+    values = make_problem(fid, 12).evaluate(x)
+    assert np.isnan(values[1]) and np.isfinite(values[[0, 2]]).all()
 
 
 def test_penalized_certificates():
@@ -225,8 +264,8 @@ def test_f8_range_default_and_override():
 def test_row_wise_evaluation_matches_single_rows():
     # A batch of rows gives, row by row, the bits of evaluating each row
     # alone, also for the strided rows a population slice is; D = 30 puts
-    # the sums, and the f11/f12 penalty, past the 8-term unrolled block of
-    # numpy's pairwise summation.
+    # the sums, the f11/f12 penalty's masked sum over all D columns
+    # included, past the 8-term unrolled block of numpy's pairwise summation.
     rng = np.random.default_rng(23)
     for fid in FUNCTION_IDS:
         for dim in (10, 30):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import hashlib
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from typing import Union, get_args, get_origin
 
@@ -530,6 +533,18 @@ def test_failures_csv_keeps_one_row_per_multiline_error(tmp_path, monkeypatch):
     assert fields[:2] == ["f1", "0"]
 
 
+def test_import_loads_no_process_pool():
+    # A serial batch never starts a pool, so importing the package (and the
+    # CLI) must not pay for concurrent.futures.process and multiprocessing.
+    code = ("import sys, ansearch\nfrom ansearch import cli, harness\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count and maps
     in this process, so no worker process is started."""
@@ -550,7 +565,8 @@ class RecordingPool:
 
 
 def test_workers_clamped_to_cores_and_jobs(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # The harness imports the pool class only when a pool runs.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "created", [])
     config = tiny_config(tmp_path, max_evals=60)  # 2 functions x 3 runs = 6 jobs
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -983,10 +999,13 @@ def test_compare_shares_rotation_across_algorithms(tmp_path):
 GOLDEN_COMPARE_SHA256 = "bf9b8db8fb0bc0ad09d222250d46cebe0b27898e6545b2a3e21cfd4090c9b67e"
 
 
-def tree_sha256(root):
+def tree_sha256(root, skip=()):
+    """SHA-256 over every file's relative path and bytes, in path order,
+    leaving out the files whose name contains a string of ``skip``."""
     digest = hashlib.sha256()
     paths = sorted(os.path.relpath(os.path.join(dirpath, name), root)
-                   for dirpath, _, files in os.walk(root) for name in files)
+                   for dirpath, _, files in os.walk(root) for name in files
+                   if not any(part in name for part in skip))
     for rel in paths:
         with open(os.path.join(root, rel), "rb") as fh:
             digest.update(rel.encode() + b"\0" + fh.read() + b"\0")
@@ -1032,12 +1051,18 @@ def test_batch_report_golden_digest(tmp_path):
 
 
 # Pins the run_batch report trees of ans, pso and de on all 18 functions at
-# D = 12 and D = 30, so every objective (and the f11/f12 boundary penalty)
-# is pinned at sizes above the 8-term unrolled block of numpy's pairwise
-# summation; the two digests above reach only f1, f5-f8 and f13 at D <= 4.
-# ans covers the argsort path (degree k > 1) of the dimension draw on f1 and
-# f13.  Same provenance and update rule as GOLDEN_COMPARE_SHA256.
-GOLDEN_ALL18_SHA256 = "5c7680c166aa26ea6f5526ed8fd524c5e2c96e323ffa346862469d98f6578e98"
+# D = 12 and D = 30, so every objective is pinned at sizes above the 8-term
+# unrolled block of numpy's pairwise summation, f11/f12's boundary penalty
+# included (a masked sum over all D columns of each row); the two digests
+# above reach only f1, f5-f8 and f13 at D <= 4.  ans covers the argsort path
+# (degree k > 1) of the dimension draw on f1 and f13.  Same provenance and
+# update rule as GOLDEN_COMPARE_SHA256, and moved on purpose once more: the
+# penalty's per-row loop became one masked reduction, which regroups its
+# pairwise sum (CHANGES.md gives the old digest).
+GOLDEN_ALL18_SHA256 = "e1ab3e25f7ed0e6e0b4fe447de3c047497d0c00c766d817e49bc3a4add807772"
+# The same tree without the f11/f12 files, as it hashed before that move.
+GOLDEN_ALL18_WITHOUT_F11_F12_SHA256 = \
+    "2520f4d8d9f3992c04e9a1a7adf49c9db8434821cd8d04075f4b155b4105b55f"
 GOLDEN_ALL18_CASES = [
     ("ans", dict(n_per_function={"f1": 5, "f13": 12})),
     ("pso", dict()),
@@ -1045,15 +1070,27 @@ GOLDEN_ALL18_CASES = [
 ]
 
 
-def test_all18_report_golden_digest(tmp_path):
+@pytest.fixture(scope="module")
+def all18_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("all18")
     base = parse_config_text("functions = " + ",".join(benchmarks.FUNCTION_IDS) +
                              "\ndimensions = 12\nruns = 2\nmax_evals = 150\n"
                              "master_seed = 2026\nwrite_history = true\n")
     for dim in (12, 30):
         for alg, overrides in GOLDEN_ALL18_CASES:
             config = replace(base, algorithm=alg, dimensions=dim, **overrides)
-            run_batch(config, output_dir=str(tmp_path / "all18" / f"D{dim}_{alg}"))
-    assert tree_sha256(tmp_path / "all18") == GOLDEN_ALL18_SHA256
+            run_batch(config, output_dir=str(root / f"D{dim}_{alg}"))
+    return root
+
+
+def test_all18_report_golden_digest(all18_tree):
+    assert tree_sha256(all18_tree) == GOLDEN_ALL18_SHA256
+
+
+def test_all18_golden_move_is_confined_to_f11_f12(all18_tree):
+    # Every summary and every other function's file kept its bytes.
+    assert (tree_sha256(all18_tree, skip=("_f11", "_f12"))
+            == GOLDEN_ALL18_WITHOUT_F11_F12_SHA256)
 
 
 # Pins the report trees the three digests above do not reach: a sweep over
